@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import click
@@ -23,13 +22,17 @@ import numpy as np
 
 from ._version import __version__
 from .errors import DomainError
+from .inference import DEFAULT_DISCRIMINATE_SCAN_POINTS, DEFAULT_SCAN_POINTS, fit_mle
 from .inference import discriminate as run_discriminate
-from .inference import fit_mle
 from .io import (
+    MODEL_KEYS,
     format_number,
     geometry_comments,
+    geometry_from_values,
+    model_values,
     read_hits_csv,
     window_comments,
+    window_from_values,
     write_hits_csv,
     write_hypothesis_csv,
     write_panel_csv,
@@ -37,30 +40,31 @@ from .io import (
     write_pgm,
     write_surface_csv,
 )
-from .pattern import FluxState, ScreenGrid, density_grid, pattern_components
-from .sampling import SampleConfig, sample_hits
-from .slits import ApertureGeometry
+from .pattern import (
+    DensityGrid,
+    FluxState,
+    ScreenGrid,
+    combine_components,
+    density_grid,
+    pattern_components,
+)
+from .sampling import DEFAULT_GRID_POINTS, SampleConfig, sample_hits
+from .slits import DEFAULT_WINDOW, ApertureGeometry
 
 _DEFAULTS = {
-    "source_to_slit_m": 10.0,
-    "slit_to_screen_m": 1.0,
-    "wavelength_m": 5.0e-12,
-    "slit_half_width_m": 0.25e-6,
-    "slit_half_separation_m": 1.0e-6,
+    **model_values(ApertureGeometry.jonsson(), DEFAULT_WINDOW),
     "theta": 0.0,
     "phi": 0.0,
     "omega": 0.0,
-    "window_min_m": -2.0e-5,
-    "window_max_m": 2.0e-5,
-    "grid_points": 8192,
+    "grid_points": DEFAULT_GRID_POINTS,
     "screen_points": 512,
     "param_points": 256,
     "n_hits": 10000,
     "seed": 0,
-    "theta_points": 181,
-    "phi_points": 181,
-    "scan_points": 91,
-    "workers": None,
+    "theta_points": DEFAULT_SCAN_POINTS,
+    "phi_points": DEFAULT_SCAN_POINTS,
+    "scan_points": DEFAULT_DISCRIMINATE_SCAN_POINTS,
+    "workers": None,   # accepted for compatibility; no effect
 }
 _INT_KEYS = frozenset(
     {
@@ -73,15 +77,6 @@ _INT_KEYS = frozenset(
         "phi_points",
         "scan_points",
     }
-)
-_MATCH_KEYS = (
-    "source_to_slit_m",
-    "slit_to_screen_m",
-    "wavelength_m",
-    "slit_half_width_m",
-    "slit_half_separation_m",
-    "window_min_m",
-    "window_max_m",
 )
 _STRIPE_ROWS = 64   # pattern heatmaps repeat the single density row this often
 
@@ -97,13 +92,7 @@ class RunConfig:
         return self.values[key]
 
     def geometry(self) -> ApertureGeometry:
-        return ApertureGeometry(
-            source_to_slit=self.values["source_to_slit_m"],
-            slit_to_screen=self.values["slit_to_screen_m"],
-            slit_half_width=self.values["slit_half_width_m"],
-            slit_half_separation=self.values["slit_half_separation_m"],
-            wavelength=self.values["wavelength_m"],
-        )
+        return geometry_from_values(self.values)
 
     def flux(self) -> FluxState:
         return FluxState(
@@ -113,7 +102,7 @@ class RunConfig:
         )
 
     def window(self):
-        return (self.values["window_min_m"], self.values["window_max_m"])
+        return window_from_values(self.values)
 
     def sample_config(self) -> SampleConfig:
         return SampleConfig(
@@ -122,12 +111,6 @@ class RunConfig:
             n_hits=self.values["n_hits"],
             seed=self.values["seed"],
         )
-
-    def workers(self) -> int:
-        value = self.values.get("workers")
-        if value is None:
-            return os.cpu_count() or 1
-        return max(1, int(value))
 
 
 def _merge(config_path, overrides) -> RunConfig:
@@ -264,7 +247,7 @@ _CONFIG_OPTIONS = [
         type=int,
         default=None,
         envvar="ABFLUX_WORKERS",
-        help="Thread count for data-parallel work (env: ABFLUX_WORKERS).",
+        help="Accepted for compatibility; no effect (env: ABFLUX_WORKERS).",
     ),
 ]
 _FLUX_OPTIONS = [
@@ -358,6 +341,22 @@ def _panel_comments(command, run, panel_key, panel_value):
     )
 
 
+def _write_panels(command, run, out_dir, heatmap, param_name, params, panels):
+    """One CSV (and graymap) per panel (name, panel key, panel value, w_b,
+    w_c) of the density A + w_b B + w_c C, one row per entry of params."""
+    x = np.linspace(*run.window(), run["screen_points"])
+    comp_a, comp_b, comp_c = pattern_components(run.geometry(), x)
+    for name, panel_key, panel_value, w_b, w_c in panels:
+        matrix = comp_a + w_b[:, None] * comp_b + w_c[:, None] * comp_c
+        path = os.path.join(out_dir, f"{command}_{name}.csv")
+        write_panel_csv(path, x, param_name, params, matrix,
+                        _panel_comments(command, run, panel_key, panel_value))
+        _echo_wrote(path)
+        if heatmap:
+            write_pgm(_pgm_path(path), matrix)
+            _echo_wrote(_pgm_path(path))
+
+
 @cli.command()
 @_add_options(_CONFIG_OPTIONS + [_SCREEN_OPTION, _PARAM_OPTION])
 @click.option("--out-dir", "out_dir", default=".", show_default=True,
@@ -366,23 +365,13 @@ def _panel_comments(command, run, panel_key, panel_value):
 def figure3(out_dir, heatmap, **kwargs):
     """Density panels over (x, phi in [0, 2 pi]) for theta in {0, pi, pi/2}."""
     run = _merge(kwargs.pop("config_path"), kwargs)
-    x = np.linspace(*run.window(), run["screen_points"])
-    comp_a, comp_b, comp_c = pattern_components(run.geometry(), x)
     phis = np.linspace(0.0, 2.0 * np.pi, run["param_points"])
-    for name, theta in (("theta_0", 0.0), ("theta_pi", np.pi),
-                        ("theta_pi_2", np.pi / 2.0)):
-        matrix = (
-            comp_a[None, :]
-            + np.cos(phis)[:, None] * comp_b[None, :]
-            + (np.sin(phis) * np.cos(theta))[:, None] * comp_c[None, :]
-        )
-        path = os.path.join(out_dir, f"figure3_{name}.csv")
-        write_panel_csv(path, x, "phi", phis, matrix,
-                        _panel_comments("figure3", run, "panel_theta", theta))
-        _echo_wrote(path)
-        if heatmap:
-            write_pgm(_pgm_path(path), matrix)
-            _echo_wrote(_pgm_path(path))
+    panels = [
+        (name, "panel_theta", theta, np.cos(phis), np.sin(phis) * np.cos(theta))
+        for name, theta in (("theta_0", 0.0), ("theta_pi", np.pi),
+                            ("theta_pi_2", np.pi / 2.0))
+    ]
+    _write_panels("figure3", run, out_dir, heatmap, "phi", phis, panels)
 
 
 @cli.command()
@@ -393,23 +382,14 @@ def figure3(out_dir, heatmap, **kwargs):
 def figure4(out_dir, heatmap, **kwargs):
     """Density panels over (x, theta in [0, pi]) for phi in {pi/4, pi/2, pi}."""
     run = _merge(kwargs.pop("config_path"), kwargs)
-    x = np.linspace(*run.window(), run["screen_points"])
-    comp_a, comp_b, comp_c = pattern_components(run.geometry(), x)
     thetas = np.linspace(0.0, np.pi, run["param_points"])
-    for name, phi in (("phi_pi_4", np.pi / 4.0), ("phi_pi_2", np.pi / 2.0),
-                      ("phi_pi", np.pi)):
-        matrix = (
-            comp_a[None, :]
-            + np.cos(phi) * comp_b[None, :]
-            + (np.sin(phi) * np.cos(thetas))[:, None] * comp_c[None, :]
-        )
-        path = os.path.join(out_dir, f"figure4_{name}.csv")
-        write_panel_csv(path, x, "theta", thetas, matrix,
-                        _panel_comments("figure4", run, "panel_phi", phi))
-        _echo_wrote(path)
-        if heatmap:
-            write_pgm(_pgm_path(path), matrix)
-            _echo_wrote(_pgm_path(path))
+    panels = [
+        (name, "panel_phi", phi, np.full(thetas.size, np.cos(phi)),
+         np.sin(phi) * np.cos(thetas))
+        for name, phi in (("phi_pi_4", np.pi / 4.0), ("phi_pi_2", np.pi / 2.0),
+                          ("phi_pi", np.pi))
+    ]
+    _write_panels("figure4", run, out_dir, heatmap, "theta", thetas, panels)
 
 
 @cli.command()
@@ -419,8 +399,7 @@ def figure4(out_dir, heatmap, **kwargs):
 def simulate(out_path, **kwargs):
     """Draw seeded electron arrivals and write an index,x_m CSV."""
     run = _merge(kwargs.pop("config_path"), kwargs)
-    hits = sample_hits(run.geometry(), run.flux(), run.sample_config(),
-                       workers=run.workers())
+    hits = sample_hits(run.geometry(), run.flux(), run.sample_config())
     write_hits_csv(out_path, hits)
     click.echo(f"wrote {out_path} ({len(hits)} hits)")
 
@@ -434,17 +413,9 @@ def _load_hits(path, run, allow_mismatch):
     did not set are adopted from the file.
     """
     hits = read_hits_csv(path)
-    file_values = {
-        "source_to_slit_m": hits.geometry.source_to_slit,
-        "slit_to_screen_m": hits.geometry.slit_to_screen,
-        "wavelength_m": hits.geometry.wavelength,
-        "slit_half_width_m": hits.geometry.slit_half_width,
-        "slit_half_separation_m": hits.geometry.slit_half_separation,
-        "window_min_m": hits.config.window[0],
-        "window_max_m": hits.config.window[1],
-    }
+    file_values = model_values(hits.geometry, hits.config.window)
     mismatched = []
-    for key in _MATCH_KEYS:
+    for key, _ in MODEL_KEYS:
         if key not in run.explicit:
             continue
         configured = float(run[key])
@@ -545,26 +516,25 @@ def _parse_angle_list(text, flag):
 @click.option("--out-dir", "out_dir", default=".", show_default=True,
               help="Directory for the per-point CSVs.")
 def sweep(thetas_text, phis_text, out_dir, **kwargs):
-    """Pattern CSVs for every (theta, phi) combination, in parallel."""
+    """Pattern CSVs for every (theta, phi) combination."""
     run = _merge(kwargs.pop("config_path"), kwargs)
     thetas = _parse_angle_list(thetas_text, "thetas")
     phis = _parse_angle_list(phis_text, "phis")
     geometry = run.geometry()
     screen = ScreenGrid.uniform(*run.window(), run["screen_points"])
-    points = [(theta, phi) for theta in thetas for phi in phis]
-
-    def emit(point):
-        theta, phi = point
-        flux = FluxState(theta=theta, phi=phi, omega=run["omega"])
-        grid = density_grid(geometry, flux, screen)
-        path = os.path.join(
-            out_dir, f"sweep_theta_{theta:.6g}_phi_{phi:.6g}.csv"
-        )
-        write_pattern_csv(path, grid, flux, [("command", "sweep")])
-        return path
-
-    with ThreadPoolExecutor(max_workers=run.workers()) as pool:
-        for path in pool.map(emit, points):
+    components = pattern_components(geometry, screen.positions)
+    for theta in thetas:
+        for phi in phis:
+            flux = FluxState(theta=theta, phi=phi, omega=run["omega"])
+            grid = DensityGrid(
+                positions=screen.positions,
+                values=combine_components(components, theta, phi),
+                geometry=geometry, flux=flux,
+            )
+            path = os.path.join(
+                out_dir, f"sweep_theta_{theta:.6g}_phi_{phi:.6g}.csv"
+            )
+            write_pattern_csv(path, grid, flux, [("command", "sweep")])
             _echo_wrote(path)
 
 

@@ -34,14 +34,16 @@ from .sampling import DEFAULT_GRID_POINTS, HitSet
 from .slits import ApertureGeometry
 
 DEFAULT_SCAN_POINTS = 181
+DEFAULT_DISCRIMINATE_SCAN_POINTS = 91   # per-axis scan inside discriminate
 REFINE_STEP = 1e-4          # rad; stop refining when neither axis moves this much
 _GOLDEN = (5.0 ** 0.5 - 1.0) / 2.0
-_FLAT_GAP_NATS = 10.0       # if the best fit beats the best zero-phase fit
-                            # (phi = 0, where theta drops out of the density)
-                            # by less than this, theta is unidentified; the
-                            # two regimes separate by orders of magnitude
-                            # (flat data stays below ~4 nats, identified
-                            # cases run to hundreds even at n = 1e3)
+_FLAT_GAP_NATS = 10.0       # if the best fit beats the better zero-phase fit
+                            # (phi = 0 or pi, where sin(phi) = 0 and theta
+                            # drops out of the density) by less than this,
+                            # theta is unidentified; the two regimes
+                            # separate by orders of magnitude (flat data
+                            # stays below ~4 nats, identified cases run to
+                            # hundreds even at n = 1e3)
 _CELL_BLOCK_FLOPS = 4_000_000
 
 
@@ -76,7 +78,7 @@ class LikelihoodSurface:
     theta_hat: float
     phi_hat: float
     loglik_max: float
-    theta_flat: bool            # theta unidentifiable (zero-phase family fits)
+    theta_flat: bool            # theta unidentifiable (phi = 0 or pi fits)
 
     @property
     def argmax(self):
@@ -315,9 +317,9 @@ def fit_mle(hits, geometry=None, window=None, theta_points=DEFAULT_SCAN_POINTS,
     refinement until the per-round step drops below 1e-4 rad.
 
     Returns a :class:`LikelihoodSurface`; ``theta_flat`` is set when the
-    fit cannot reject the zero-phase family (phi = 0, inside which theta
-    has no effect on the density), in which case ``theta_hat`` is not
-    meaningful.
+    fit cannot reject the zero-phase family (phi = 0 or phi = pi, inside
+    which theta has no effect on the density), in which case
+    ``theta_hat`` is not meaningful.
     """
     positions, geometry, window = _resolve_inputs(hits, geometry, window)
     if positions.size == 0:
@@ -327,7 +329,8 @@ def fit_mle(hits, geometry=None, window=None, theta_points=DEFAULT_SCAN_POINTS,
         ctx, theta_points, phi_points
     )
     theta_hat, phi_hat = canonical_angles(theta_hat, phi_hat)
-    theta_flat = bool(best - ctx.loglik(0.0, 0.0) < _FLAT_GAP_NATS)
+    zero_phase = max(ctx.loglik(0.0, 0.0), ctx.loglik(0.0, np.pi))
+    theta_flat = bool(best - zero_phase < _FLAT_GAP_NATS)
     return LikelihoodSurface(
         theta_grid=theta_grid,
         phi_grid=phi_grid,
@@ -357,7 +360,8 @@ def _fit_definite(ctx, phi_points):
     return best
 
 
-def discriminate(hits, geometry=None, window=None, scan_points=91,
+def discriminate(hits, geometry=None, window=None,
+                 scan_points=DEFAULT_DISCRIMINATE_SCAN_POINTS,
                  phi_points=DEFAULT_SCAN_POINTS, grid_points=DEFAULT_GRID_POINTS):
     """Superposition-vs-definite-flux likelihood comparison.
 
@@ -398,7 +402,8 @@ def _discriminate_ctx(ctx, scan_points, phi_points):
 
 def sequential_trace(hits, geometry=None, window=None, checkpoint_schedule=(),
                      theta_points=DEFAULT_SCAN_POINTS, phi_points=DEFAULT_SCAN_POINTS,
-                     scan_points=91, grid_points=DEFAULT_GRID_POINTS) -> SequentialTrace:
+                     scan_points=DEFAULT_DISCRIMINATE_SCAN_POINTS,
+                     grid_points=DEFAULT_GRID_POINTS) -> SequentialTrace:
     """Fit and discriminate on growing hit prefixes.
 
     ``checkpoint_schedule`` is a strictly increasing sequence of prefix

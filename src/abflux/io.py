@@ -18,14 +18,38 @@ from .pattern import FluxState
 from .sampling import HitSet, SampleConfig
 from .slits import ApertureGeometry
 
-GEOMETRY_KEYS = (
-    "source_to_slit_m",
-    "slit_to_screen_m",
-    "wavelength_m",
-    "slit_half_width_m",
-    "slit_half_separation_m",
+# Every model setting a provenance block or config names: its key and the
+# ApertureGeometry field it carries, or None for the two window edges
+# (x_min, then x_max).  Provenance blocks list the keys in this order.
+MODEL_KEYS = (
+    ("source_to_slit_m", "source_to_slit"),
+    ("slit_to_screen_m", "slit_to_screen"),
+    ("wavelength_m", "wavelength"),
+    ("slit_half_width_m", "slit_half_width"),
+    ("slit_half_separation_m", "slit_half_separation"),
+    ("window_min_m", None),
+    ("window_max_m", None),
 )
+_GEOMETRY_FIELDS = tuple((key, field) for key, field in MODEL_KEYS if field)
+_WINDOW_KEYS = tuple(key for key, field in MODEL_KEYS if not field)
 HITS_HEADER = "index,x_m"
+
+
+def model_values(geometry: ApertureGeometry, window):
+    """Key -> value of every MODEL_KEYS setting, in table order."""
+    values = {key: getattr(geometry, field) for key, field in _GEOMETRY_FIELDS}
+    values.update(zip(_WINDOW_KEYS, window))
+    return values
+
+
+def geometry_from_values(values) -> ApertureGeometry:
+    """The geometry named by a mapping that holds the MODEL_KEYS keys."""
+    return ApertureGeometry(**{field: values[key] for key, field in _GEOMETRY_FIELDS})
+
+
+def window_from_values(values):
+    """The (x_min, x_max) window named by a mapping of MODEL_KEYS keys."""
+    return tuple(values[key] for key in _WINDOW_KEYS)
 
 
 def format_number(value):
@@ -38,13 +62,8 @@ def format_number(value):
 
 
 def geometry_comments(geometry: ApertureGeometry):
-    return [
-        ("source_to_slit_m", format_number(geometry.source_to_slit)),
-        ("slit_to_screen_m", format_number(geometry.slit_to_screen)),
-        ("wavelength_m", format_number(geometry.wavelength)),
-        ("slit_half_width_m", format_number(geometry.slit_half_width)),
-        ("slit_half_separation_m", format_number(geometry.slit_half_separation)),
-    ]
+    return [(key, format_number(getattr(geometry, field)))
+            for key, field in _GEOMETRY_FIELDS]
 
 
 def flux_comments(flux: FluxState):
@@ -56,11 +75,7 @@ def flux_comments(flux: FluxState):
 
 
 def window_comments(window):
-    x_min, x_max = window
-    return [
-        ("window_min_m", format_number(x_min)),
-        ("window_max_m", format_number(x_max)),
-    ]
+    return [(key, format_number(edge)) for key, edge in zip(_WINDOW_KEYS, window)]
 
 
 def write_csv(path, comments, header, rows):
@@ -164,23 +179,15 @@ def read_hits_csv(path) -> HitSet:
         raise DomainError(
             f"{path}: expected header '{HITS_HEADER}', got {','.join(header)!r}"
         )
-    geometry = ApertureGeometry(
-        source_to_slit=_comment_float(comments, "source_to_slit_m", path),
-        slit_to_screen=_comment_float(comments, "slit_to_screen_m", path),
-        slit_half_width=_comment_float(comments, "slit_half_width_m", path),
-        slit_half_separation=_comment_float(comments, "slit_half_separation_m", path),
-        wavelength=_comment_float(comments, "wavelength_m", path),
-    )
+    model = {key: _comment_float(comments, key, path) for key, _ in MODEL_KEYS}
+    geometry = geometry_from_values(model)
     flux = FluxState(
         theta=_comment_float(comments, "theta", path),
         phi=_comment_float(comments, "phi", path),
         omega=_comment_float(comments, "omega", path),
     )
     config = SampleConfig(
-        window=(
-            _comment_float(comments, "window_min_m", path),
-            _comment_float(comments, "window_max_m", path),
-        ),
+        window=window_from_values(model),
         grid_points=int(_comment_float(comments, "grid_points", path)),
         n_hits=int(_comment_float(comments, "n_hits", path)),
         seed=int(_comment_float(comments, "seed", path)),
@@ -279,20 +286,6 @@ def write_hypothesis_csv(path, result, comments_extra=()):
         ("definite_direction", result.definite_direction),
     ]
     write_csv(path, comments, header, [row])
-
-
-def write_trace_csv(path, trace, comments_extra=()):
-    """Sequential checkpoints as ``n_hits,theta_hat,phi_hat,llr`` rows."""
-    rows = (
-        (
-            str(c.n_hits),
-            format_number(c.theta_hat),
-            format_number(c.phi_hat),
-            format_number(c.llr),
-        )
-        for c in trace.checkpoints
-    )
-    write_csv(path, list(comments_extra), "n_hits,theta_hat,phi_hat,llr", rows)
 
 
 def write_pgm(path, values):

@@ -162,6 +162,16 @@ def _as_positions(x):
     return scalar, xs
 
 
+def combine_components(components, theta, phi):
+    """A + B cos(phi) + C sin(phi) cos(theta) over precomputed components.
+
+    theta = 0 and theta = pi give the up and down patterns exactly, since
+    cos(0) and cos(pi) are exactly +1 and -1.
+    """
+    a, b, c = components
+    return a + b * np.cos(phi) + c * np.sin(phi) * np.cos(theta)
+
+
 def basis_density(geometry: ApertureGeometry, phi, direction, x):
     """Screen density for a definite ("up" or "down") flux of magnitude phi.
 
@@ -174,17 +184,15 @@ def basis_density(geometry: ApertureGeometry, phi, direction, x):
     if direction not in ("up", "down"):
         raise DomainError(f"direction must be 'up' or 'down', got {direction!r}")
     scalar, xs = _as_positions(x)
-    a, b, c = pattern_components(geometry, xs)
-    sign = 1.0 if direction == "up" else -1.0
-    values = a + b * np.cos(phi) + sign * c * np.sin(phi)
+    theta = 0.0 if direction == "up" else np.pi
+    values = combine_components(pattern_components(geometry, xs), theta, phi)
     return float(values[0]) if scalar else values
 
 
 def density(geometry: ApertureGeometry, flux: FluxState, x):
     """Screen density for a superposed flux; independent of flux.omega."""
     scalar, xs = _as_positions(x)
-    a, b, c = pattern_components(geometry, xs)
-    values = a + b * np.cos(flux.phi) + c * np.sin(flux.phi) * np.cos(flux.theta)
+    values = combine_components(pattern_components(geometry, xs), flux.theta, flux.phi)
     return float(values[0]) if scalar else values
 
 

@@ -3,7 +3,7 @@
 Hits are drawn from the window-normalized screen density by inverse-CDF
 transform of counter-based uniform variates: variate i is a pure function
 of (seed, i) via a splitmix64 mix, so any hit is reproducible in isolation
-and generation order, chunking, and worker count cannot change the output.
+and generation order or chunking cannot change the output.
 
 The density is tabulated on a dense uniform grid (8192 points by default);
 the CDF is the cumulative trapezoid of that table, taken piecewise-linear
@@ -13,7 +13,6 @@ and inference share one domain.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,23 +156,9 @@ def sample_hits(geometry, flux, config: SampleConfig, workers=None) -> HitSet:
     """Draw config.n_hits arrival positions from the window-normalized
     density by inverse-CDF transform of the counter-based variates.
 
-    ``workers`` > 1 splits the hit-index range across a thread pool; since
-    variate i depends only on (seed, i), the result is bit-identical for
-    any worker count.  Identical (geometry, flux, config) always give a
-    bit-identical HitSet.
+    ``workers`` is accepted for compatibility and has no effect.  Identical
+    (geometry, flux, config) always give a bit-identical HitSet.
     """
     dist = normalized_pdf_cdf(geometry, flux, config.window, config.grid_points)
-    n = config.n_hits
-
-    def chunk(start, stop):
-        return dist.ppf(uniform_variates(config.seed, start, stop))
-
-    workers = 1 if workers is None else int(workers)
-    if workers <= 1 or n < 2 * workers:
-        positions = chunk(0, n)
-    else:
-        bounds = np.linspace(0, n, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(chunk, bounds[:-1], bounds[1:])
-        positions = np.concatenate(list(parts))
+    positions = dist.ppf(uniform_variates(config.seed, 0, config.n_hits))
     return HitSet(positions=positions, config=config, flux=flux, geometry=geometry)

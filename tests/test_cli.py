@@ -218,27 +218,42 @@ def test_infer_provenance_mismatch(tmp_path, capsys):
 
 def test_infer_adopts_file_settings(tmp_path):
     # geometry/window values the user did not set come from the file, so a
-    # hits file with a non-default window analyzes cleanly with no flags
+    # hits file with a non-default model analyzes cleanly with no flags
     hits = tmp_path / "hits.csv"
     surface = tmp_path / "s.csv"
+    model = {
+        "source_to_slit_m": ("--source-to-slit", "8.0"),
+        "slit_to_screen_m": ("--slit-to-screen", "1.5"),
+        "wavelength_m": ("--wavelength", "6e-12"),
+        "slit_half_width_m": ("--slit-half-width", "3e-07"),
+        "slit_half_separation_m": ("--slit-half-separation", "1.2e-06"),
+        "window_min_m": ("--window-min", "-1.5e-5"),
+        "window_max_m": ("--window-max", "1.5e-5"),
+    }
+    flags = [part for flag_value in model.values() for part in flag_value]
     run_ok(["simulate", "--out", str(hits), "--n-hits", "300", "--seed", "2",
-            "--window-min", "-1.5e-5", "--window-max", "1.5e-5",
-            "--theta", HALF_PI, "--phi", HALF_PI])
+            "--theta", HALF_PI, "--phi", HALF_PI] + flags)
     run_ok(["infer", str(hits), "--out", str(surface),
             "--theta-points", "31", "--phi-points", "31"])
     comments, _, _ = read_csv(surface)
-    assert float(comments["window_min_m"]) == -1.5e-5
-    assert float(comments["window_max_m"]) == 1.5e-5
+    for key, (_, value) in model.items():
+        assert float(comments[key]) == float(value)
 
 
-def test_sweep_single_point_equals_pattern(tmp_path):
-    run_ok(["sweep", "--out-dir", str(tmp_path), "--thetas", "0.7",
-            "--phis", "1.3", "--screen-points", "80"])
-    sweep_file = tmp_path / "sweep_theta_0.7_phi_1.3.csv"
-    pattern_file = tmp_path / "pattern.csv"
-    run_ok(["pattern", "--out", str(pattern_file), "--theta", "0.7",
-            "--phi", "1.3", "--screen-points", "80"])
-    assert np.array_equal(read_pattern(sweep_file)[1], read_pattern(pattern_file)[1])
+def test_sweep_points_equal_pattern(tmp_path):
+    # the screen components are shared by every point of a sweep; each file
+    # must still equal the pattern command's output for its own point
+    run_ok(["sweep", "--out-dir", str(tmp_path), "--thetas", "0.7,2.0",
+            "--phis", "1.3,4.0", "--screen-points", "80"])
+    for theta in ("0.7", "2.0"):
+        for phi in ("1.3", "4.0"):
+            name = f"sweep_theta_{float(theta):.6g}_phi_{float(phi):.6g}.csv"
+            sweep_file = tmp_path / name
+            pattern_file = tmp_path / "pattern.csv"
+            run_ok(["pattern", "--out", str(pattern_file), "--theta", theta,
+                    "--phi", phi, "--screen-points", "80"])
+            assert np.array_equal(read_pattern(sweep_file)[1],
+                                  read_pattern(pattern_file)[1])
 
 
 def test_sweep_grid_and_worker_invariance(tmp_path):

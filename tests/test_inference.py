@@ -155,13 +155,16 @@ def test_recovery_at_up_boundary(jonsson):
 
 
 def test_zero_phase_data_reports_flat_theta(jonsson):
-    # at phi=0 the density does not depend on theta at all, so the fit must
-    # flag theta as unidentified no matter where theta_hat lands
-    for seed in (7, 401, 403):
-        hits = make_hits(jonsson, 1.0, 0.0, 20000, seed)
+    # at phi=0 and phi=pi the density does not depend on theta at all, so
+    # the fit must flag theta as unidentified no matter where theta_hat lands
+    for phi, seed in ((0.0, 7), (0.0, 401), (0.0, 403), (np.pi, 5)):
+        hits = make_hits(jonsson, 1.0, phi, 20000, seed)
         surface = fit_mle(hits, theta_points=61, phi_points=61)
         assert surface.theta_flat
-        assert surface.phi_hat <= 0.2
+        if phi == 0.0:
+            assert surface.phi_hat <= 0.2
+        else:
+            assert surface.phi_hat >= np.pi - 0.2
 
 
 def test_estimator_consistency_medians(jonsson):
