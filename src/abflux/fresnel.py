@@ -1,56 +1,74 @@
 """Complex Fresnel integral E(z) = ∫₀ᶻ exp(iπη²/2) dη for real z.
 
 The real and imaginary parts are the classical Fresnel cosine and sine
-integrals C(z) and S(z).  Two evaluation branches are used:
+integrals C(z) and S(z).  Every element costs the same: there is no
+convergence test and no Lentz iteration.  Two branches are used:
 
-* a Maclaurin series for |z| <= ``SERIES_CUTOFF``, where cancellation is
-  still mild, and
-* a continued fraction for the related complementary error function of
-  complex argument above the cutoff (evaluated with the modified Lentz
-  scheme), which converges quickly once pi*z^2 is a few tens.
+* |z| <= ``SERIES_CUTOFF``: the Maclaurin series, split into real power
+  series in t = z^4, C = z P(t) and S = z^3 Q(t), each summed by Horner's
+  rule at a fixed term count;
+* above it: the even-contracted continued fraction for the related
+  complementary error function of complex argument (Abramowitz & Stegun
+  §7.3), evaluated bottom-up at a fixed depth.
 
-Both branches are accurate to ~1e-13 absolute or better in an overlap band
-around the cutoff, comfortably inside the 1e-12 budget of this module.
-Evaluation is odd by construction: negative arguments are mapped to
-positive ones and the result is negated.
+Truncation in both stays far below this module's 1e-12 absolute budget;
+near the cutoff the series' rounding error, ~5e-13, dominates.  Negative
+arguments are mapped to positive ones and the result negated, so E is odd
+exactly, and each value depends only on its own argument.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .errors import DomainError
 
 # |z| at or below which the power series is used; the continued fraction
-# takes over above.  Chosen so the two branches agree to ~1e-13 in a band
+# takes over above.  Chosen so the two branches agree to ~5e-13 in a band
 # around the cutoff (exercised in the test suite).
 SERIES_CUTOFF = 2.5
 
-_MAX_SERIES_TERMS = 160
-_MAX_CF_ITERATIONS = 300
+# Terms of each of P and Q.  The first omitted term of the series,
+# (pi/2)^n z^(2n+1) / (n! (2n+1)) at n = 60, is 7e-19 at z = 2.8, the top
+# of the overlap band the tests evaluate the series on.
+_SERIES_TERMS = 30
+
+# Depth of the continued fraction.  From z = 2.0 on it is within 2.5e-16,
+# a rounding difference, of the fraction taken to depth 200.
+_CF_DEPTH = 26
+
+# Beyond this |z|, E(z) rounds to sign(z) (1+i)/2: the remainder is below
+# 1/(pi |z|) < 4e-18, under half an ulp of 0.5.  Clamping to it also keeps
+# pi z^2 finite.
+_SATURATION = 1e17
+
+# Coefficient of z^(2n+1) in the series for E is (i pi/2)^n / (n! (2n+1));
+# even n feed C, odd n feed S, and i^n alternates the sign in each.
+_COEFFS = [
+    (-1) ** (n // 2) * (math.pi / 2) ** n / (math.factorial(n) * (2 * n + 1))
+    for n in range(2 * _SERIES_TERMS)
+]
+_P_COEFFS = _COEFFS[0::2]
+_Q_COEFFS = _COEFFS[1::2]
+
+
+def _horner(coeffs, t):
+    """sum_k coeffs[k] t^k by Horner's rule."""
+    acc = np.full_like(t, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= t
+        acc += c
+    return acc
 
 
 def _series(z):
-    """Maclaurin series sum_n (i*pi/2)^n z^(2n+1) / (n! (2n+1)), z >= 0.
-
-    Each element stops accumulating when its own contribution drops below
-    threshold, so the value at a given z never depends on what else is in
-    the batch.
-    """
+    """Maclaurin series sum_n (i*pi/2)^n z^(2n+1) / (n! (2n+1)), z >= 0."""
     z = np.asarray(z, dtype=float)
-    term = z.astype(complex)        # (i*pi/2)^n z^(2n+1) / n!  at n = 0
-    total = term.copy()
-    ratio = 0.5j * np.pi * z * z
-    active = np.ones(z.shape, dtype=bool)
-    for n in range(1, _MAX_SERIES_TERMS):
-        term[active] = term[active] * ratio[active] / n
-        contribution = term[active] / (2 * n + 1)
-        total[active] += contribution
-        converged = np.abs(contribution) < 1e-18
-        if converged.all():
-            break
-        active[active] = ~converged
-    return total
+    z2 = z * z
+    t = z2 * z2
+    return z * _horner(_P_COEFFS, t) + 1j * (z2 * z * _horner(_Q_COEFFS, t))
 
 
 def _continued_fraction(z):
@@ -61,32 +79,16 @@ def _continued_fraction(z):
     function at argument sqrt(pi)(1-i)z/2:
 
         H = 1/(b0 + a1/(b1 + a2/(b2 + ...))),
-        b_k = (1 - i*pi*z^2) + 4k,   a_k = -2k(2k-1).
+        b_k = (1 - i*pi*z^2) + 4k,   a_k = -2k(2k-1),
+
+    truncated after b_k at k = ``_CF_DEPTH`` and evaluated bottom-up.
     """
     z = np.asarray(z, dtype=float)
     pizz = np.pi * z * z
     b = 1.0 - 1j * pizz
-    # modified Lentz on f = b0 + a1/(b1 + ...).  As in _series, an element
-    # stops updating once its own correction factor reaches 1, so results
-    # are independent of the batch the element arrived in.
-    f = b.copy()
-    c = b.copy()
-    d = np.zeros_like(b)
-    active = np.ones(z.shape, dtype=bool)
-    for k in range(1, _MAX_CF_ITERATIONS):
-        a = -2.0 * k * (2.0 * k - 1.0)
-        b = b + 4.0
-        d = b + a * d
-        d[d == 0] = 1e-300
-        d = 1.0 / d
-        c = b + a / c
-        c[c == 0] = 1e-300
-        delta = c[active] * d[active]
-        f[active] = f[active] * delta
-        converged = np.abs(delta - 1.0) < 1e-17
-        if converged.all():
-            break
-        active[active] = ~converged
+    f = b + 4.0 * _CF_DEPTH
+    for k in range(_CF_DEPTH, 0, -1):
+        f = (b + 4.0 * (k - 1)) + (-2.0 * k * (2.0 * k - 1.0)) / f
     h = (1.0 - 1j) * z / f
     phase = np.exp(0.5j * pizz)
     return (0.5 + 0.5j) * (1.0 - phase * h)
@@ -95,13 +97,11 @@ def _continued_fraction(z):
 def _fresnel_ei_array(z):
     """Vectorized E(z) on a float array; no validation."""
     z = np.asarray(z, dtype=float)
-    az = np.abs(z)
+    az = np.minimum(np.abs(z), _SATURATION)
     out = np.empty(z.shape, dtype=complex)
     small = az <= SERIES_CUTOFF
-    if np.any(small):
-        out[small] = _series(az[small])
-    if np.any(~small):
-        out[~small] = _continued_fraction(az[~small])
+    out[small] = _series(az[small])
+    out[~small] = _continued_fraction(az[~small])
     np.negative(out, where=z < 0, out=out)
     return out
 
@@ -153,6 +153,4 @@ def fresnel_ei_grid(zs):
     if np.any(bad):
         idx = int(np.flatnonzero(bad)[0])
         raise DomainError(f"fresnel_ei_grid: non-finite argument at index {idx}")
-    if zs.size == 0:
-        return np.empty(zs.shape, dtype=complex)
     return _fresnel_ei_array(zs)

@@ -10,6 +10,8 @@ round-trip bit-exactly through ``float``.  Data rows follow a single
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from ._version import __version__
@@ -61,6 +63,15 @@ def format_number(value):
     return repr(float(value))
 
 
+def _float_texts(values):
+    """Iterator over the :func:`format_number` text of each float in ``values``.
+
+    The array is converted to Python floats in one call; ``repr`` of a
+    Python float is the same text as ``repr(float(v))`` of a numpy scalar.
+    """
+    return map(repr, np.asarray(values, dtype=float).tolist())
+
+
 def geometry_comments(geometry: ApertureGeometry):
     return [(key, format_number(getattr(geometry, field)))
             for key, field in _GEOMETRY_FIELDS]
@@ -97,17 +108,18 @@ def read_csv(path):
     """
     comments = {}
     header = None
-    data = []
+    data = None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n").rstrip("\r")
             if not line:
                 continue
+            if header is not None:
+                # the data block runs from here to the end of the file
+                rest = itertools.chain([raw], fh)
+                data = _read_rows(path, line_no, rest, len(header))
+                break
             if line.startswith("#"):
-                if header is not None:
-                    raise DomainError(
-                        f"{path}:{line_no}: comment after the header line"
-                    )
                 body = line[1:].strip()
                 if "=" not in body:
                     raise DomainError(
@@ -116,22 +128,46 @@ def read_csv(path):
                 key, value = body.split("=", 1)
                 comments[key.strip()] = value.strip()
                 continue
-            if header is None:
-                header = [name.strip() for name in line.split(",")]
-                continue
-            parts = line.split(",")
-            if len(parts) != len(header):
-                raise DomainError(
-                    f"{path}:{line_no}: expected {len(header)} fields, got {len(parts)}"
-                )
-            try:
-                data.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise DomainError(f"{path}:{line_no}: {exc}") from None
+            header = [name.strip() for name in line.split(",")]
     if header is None:
         raise DomainError(f"{path}: no header line found")
-    matrix = np.array(data, dtype=float) if data else np.empty((0, len(header)))
-    return comments, header, matrix
+    if data is None:
+        data = np.empty((0, len(header)))
+    return comments, header, data
+
+
+def _read_rows(path, first_line, lines, n_fields):
+    """The data block of :func:`read_csv` as a float matrix.
+
+    ``lines`` holds the file from its first data line, ``first_line``, on.
+    One numpy call parses the block.  Where it refuses, the lines are read
+    again one at a time, as ``float`` reads them, so that an error names its
+    line.
+    """
+    try:
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        if data.shape[1] == n_fields:
+            return data
+    except ValueError:
+        pass
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n").rstrip("\r")
+            if line_no < first_line or not line:
+                continue
+            if line.startswith("#"):
+                raise DomainError(f"{path}:{line_no}: comment after the header line")
+            parts = line.split(",")
+            if len(parts) != n_fields:
+                raise DomainError(
+                    f"{path}:{line_no}: expected {n_fields} fields, got {len(parts)}"
+                )
+            try:
+                rows.append([float(p) for p in parts])
+            except ValueError as exc:
+                raise DomainError(f"{path}:{line_no}: {exc}") from None
+    return np.array(rows, dtype=float)
 
 
 def hits_comments(hits: HitSet):
@@ -149,9 +185,7 @@ def hits_comments(hits: HitSet):
 
 
 def write_hits_csv(path, hits: HitSet):
-    rows = (
-        (str(i), repr(float(x))) for i, x in enumerate(hits.positions)
-    )
+    rows = zip(map(str, range(len(hits.positions))), _float_texts(hits.positions))
     write_csv(path, hits_comments(hits), HITS_HEADER, rows)
 
 
@@ -214,10 +248,7 @@ def write_pattern_csv(path, grid, flux, comments_extra=()):
         + window_comments((grid.positions[0], grid.positions[-1]))
         + [("screen_points", format_number(grid.positions.size))]
     )
-    rows = (
-        (repr(float(x)), repr(float(v)))
-        for x, v in zip(grid.positions, grid.values)
-    )
+    rows = zip(_float_texts(grid.positions), _float_texts(grid.values))
     write_csv(path, comments, "x_m,density", rows)
 
 
@@ -234,11 +265,12 @@ def write_panel_csv(path, x, param_name, param_values, matrix, comments):
             f"{len(param_values)} parameter values x {len(x)} positions"
         )
 
+    x_texts = list(_float_texts(x))
+
     def rows():
-        for value, slice_ in zip(param_values, matrix):
-            value_text = repr(float(value))
-            for pos, dens in zip(x, slice_):
-                yield (repr(float(pos)), value_text, repr(float(dens)))
+        for value_text, slice_ in zip(_float_texts(param_values), matrix):
+            for pos_text, dens_text in zip(x_texts, _float_texts(slice_)):
+                yield (pos_text, value_text, dens_text)
 
     write_csv(path, comments, f"x_m,{param_name},density", rows())
 
@@ -254,11 +286,13 @@ def write_surface_csv(path, surface, comments_extra=()):
         ("theta_flat", format_number(surface.theta_flat)),
     ]
 
+    theta_texts = _float_texts(surface.theta_grid)
+    phi_texts = list(_float_texts(surface.phi_grid))
+
     def rows():
-        for i, theta in enumerate(surface.theta_grid):
-            theta_text = repr(float(theta))
-            for j, phi in enumerate(surface.phi_grid):
-                yield (theta_text, repr(float(phi)), repr(float(surface.loglik[i, j])))
+        for theta_text, loglik_row in zip(theta_texts, surface.loglik):
+            for phi_text, value_text in zip(phi_texts, _float_texts(loglik_row)):
+                yield (theta_text, phi_text, value_text)
 
     write_csv(path, comments, "theta,phi,loglik", rows())
 

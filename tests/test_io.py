@@ -4,15 +4,22 @@ import numpy as np
 import pytest
 
 from abflux import DomainError, FluxState, SampleConfig, sample_hits
+from abflux.inference import LikelihoodSurface
 from abflux.io import (
+    HITS_HEADER,
     format_number,
     read_csv,
     read_hits_csv,
     read_pgm,
     write_csv,
     write_hits_csv,
+    write_panel_csv,
+    write_pattern_csv,
     write_pgm,
+    write_surface_csv,
 )
+from abflux.pattern import DensityGrid
+from abflux.sampling import HitSet
 
 
 @pytest.fixture()
@@ -151,3 +158,88 @@ def test_pgm_rejects_bad_input(tmp_path):
         write_pgm(path, np.array([1.0, 2.0]))
     with pytest.raises(DomainError):
         write_pgm(path, np.array([[np.nan, 1.0]]))
+
+
+# Floats whose shortest repr covers signed zero, subnormals, the largest
+# finite double, integral values and the exponent form.
+_AWKWARD = np.array([
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1.0 / 3.0, -2e-5, 2.0,
+    1e16, 1e22, -1.7976931348623157e308, np.pi,
+])
+
+
+def _data_text(path, header):
+    return path.read_text().split(header + "\n", 1)[1]
+
+
+def _former_rows(*columns):
+    # rows as the writers formatted them element by element
+    return "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in zip(*columns)
+    )
+
+
+def test_writers_keep_per_element_repr_text(tmp_path, jonsson):
+    rng = np.random.default_rng(3)
+    values = np.concatenate([
+        _AWKWARD, rng.standard_normal(36) * 10.0 ** rng.integers(-300, 300, 36),
+    ])
+    x = np.sort(np.concatenate([[-2e-5, -0.0, 5e-324, 2e-5], rng.uniform(-2e-5, 2e-5, 44)]))
+    flux = FluxState(0.4, 1.2)
+
+    hits = HitSet(positions=x, config=SampleConfig(n_hits=x.size, seed=1),
+                  flux=flux, geometry=jonsson)
+    path = tmp_path / "hits.csv"
+    write_hits_csv(path, hits)
+    expected = "".join(f"{i},{float(v)!r}\n" for i, v in enumerate(x))
+    assert _data_text(path, HITS_HEADER) == expected
+
+    density = np.abs(values)
+    grid = DensityGrid(positions=x, values=density, geometry=jonsson, flux=flux)
+    path = tmp_path / "pattern.csv"
+    write_pattern_csv(path, grid, flux)
+    assert _data_text(path, "x_m,density") == _former_rows(x, density)
+
+    params = values[:4]
+    matrix = np.stack([values, -values, values[::-1], 1e-7 * values])
+    path = tmp_path / "panel.csv"
+    write_panel_csv(path, x, "theta", params, matrix, [])
+    expected = "".join(
+        _former_rows(x, np.full(x.size, p), row) for p, row in zip(params, matrix)
+    )
+    assert _data_text(path, "x_m,theta,density") == expected
+
+    thetas, phis = values[:5], values[5:12]
+    loglik = values[12:47].reshape(5, 7)
+    surface = LikelihoodSurface(
+        theta_grid=thetas, phi_grid=phis, loglik=loglik, theta_hat=0.5,
+        phi_hat=1.5, loglik_max=float(loglik.max()), theta_flat=False,
+    )
+    path = tmp_path / "surface.csv"
+    write_surface_csv(path, surface)
+    expected = "".join(
+        _former_rows(np.full(phis.size, t), phis, row) for t, row in zip(thetas, loglik)
+    )
+    assert _data_text(path, "theta,phi,loglik") == expected
+
+
+def test_read_csv_values_equal_float_of_text(tmp_path):
+    texts = [repr(float(v)) for v in _AWKWARD] + [
+        "0.1000000000000000055511151231257827", "1e-320", "-0", " 2.5 ", "7",
+        "1E5", "+3.", ".5", "inf", "-inf", "4.9406564584124654e-324",
+    ]
+    if len(texts) % 2:
+        texts.append("0.3")
+    rows = list(zip(texts[0::2], texts[1::2]))
+    path = tmp_path / "table.csv"
+    write_csv(path, [], "a,b", rows)
+    _, _, data = read_csv(path)
+    expected = np.array([[float(a), float(b)] for a, b in rows])
+    assert np.array_equal(data, expected)
+    assert np.array_equal(np.signbit(data), np.signbit(expected))
+
+    # text float() reads but numpy's parser refuses still reads as float()
+    write_csv(path, [], "a,b", rows + [("1_000.5", "2")])
+    _, _, data = read_csv(path)
+    assert np.array_equal(data[-1], [1000.5, 2.0])
+    assert np.array_equal(data[:-1], expected)
