@@ -22,7 +22,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import DomainError
-from .inference import DEFAULT_DISCRIMINATE_SCAN_POINTS, DEFAULT_SCAN_POINTS, fit_mle
+from .inference import DEFAULT_SCAN_POINTS, fit_mle
 from .inference import discriminate as run_discriminate
 from .io import (
     MODEL_KEYS,
@@ -63,8 +63,8 @@ _DEFAULTS = {
     "seed": 0,
     "theta_points": DEFAULT_SCAN_POINTS,
     "phi_points": DEFAULT_SCAN_POINTS,
-    "scan_points": DEFAULT_DISCRIMINATE_SCAN_POINTS,
-    "workers": None,   # accepted for compatibility; no effect
+    "scan_points": None,   # accepted for compatibility; no effect
+    "workers": None,       # accepted for compatibility; no effect
 }
 _INT_KEYS = frozenset(
     {
@@ -140,6 +140,8 @@ def _merge(config_path, overrides) -> RunConfig:
             explicit.add(key)
     for key in _INT_KEYS:
         value = values[key]
+        if value is None:   # scan_points left unset
+            continue
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise DomainError(f"config key '{key}' must be an integer")
         if isinstance(value, float):
@@ -157,8 +159,9 @@ def _merge(config_path, overrides) -> RunConfig:
             values["workers"] = int(values["workers"])
         except (TypeError, ValueError):
             raise DomainError("config key 'workers' must be an integer") from None
-        if values["workers"] < 1:
-            raise DomainError("config key 'workers' must be at least 1")
+    for key in ("workers", "scan_points"):
+        if values[key] is not None and values[key] < 1:
+            raise DomainError(f"config key '{key}' must be at least 1")
     return RunConfig(values=values, explicit=frozenset(explicit))
 
 
@@ -280,11 +283,11 @@ _PARAM_OPTION = click.option(
 )
 _INFER_OPTIONS = [
     click.option("--theta-points", "theta_points", type=int, default=None,
-                 help="Theta resolution of the likelihood scan."),
+                 help="Theta resolution of the likelihood surface."),
     click.option("--phi-points", "phi_points", type=int, default=None,
-                 help="Phi resolution of the likelihood scan."),
+                 help="Phi resolution of the likelihood surface and definite-flux scan."),
     click.option("--scan-points", "scan_points", type=int, default=None,
-                 help="Per-axis resolution of the internal scans in discriminate."),
+                 help="Accepted for compatibility; no effect."),
     click.option(
         "--allow-mismatch",
         is_flag=True,
@@ -475,17 +478,13 @@ def discriminate(hits_file, out_path, allow_mismatch, **kwargs):
     hits, geometry, window = _load_hits(hits_file, run, allow_mismatch)
     result = run_discriminate(
         hits, geometry=geometry, window=window,
-        scan_points=run["scan_points"], phi_points=run["phi_points"],
-        grid_points=run["grid_points"],
+        phi_points=run["phi_points"], grid_points=run["grid_points"],
     )
     comments = (
         [("command", "discriminate"), ("input", str(hits_file))]
         + geometry_comments(geometry)
         + window_comments(window)
-        + [
-            ("grid_points", format_number(run["grid_points"])),
-            ("scan_points", format_number(run["scan_points"])),
-        ]
+        + [("grid_points", format_number(run["grid_points"]))]
     )
     write_hypothesis_csv(out_path, result, comments)
     _echo_wrote(out_path)

@@ -44,6 +44,10 @@ _CF_DEPTH = 26
 # pi z^2 finite.
 _SATURATION = 1e17
 
+# Veltkamp's 2^27 + 1 splits a double into two 26-bit halves whose
+# products are exact.
+_SPLITTER = 134217729.0
+
 # Coefficient of z^(2n+1) in the series for E is (i pi/2)^n / (n! (2n+1));
 # even n feed C, odd n feed S, and i^n alternates the sign in each.
 _COEFFS = [
@@ -81,16 +85,22 @@ def _continued_fraction(z):
         H = 1/(b0 + a1/(b1 + a2/(b2 + ...))),
         b_k = (1 - i*pi*z^2) + 4k,   a_k = -2k(2k-1),
 
-    truncated after b_k at k = ``_CF_DEPTH`` and evaluated bottom-up.
+    truncated after b_k at k = ``_CF_DEPTH`` and evaluated bottom-up.  The
+    phase takes z^2 exactly, as hi + lo (a Veltkamp two-product), with hi
+    reduced mod 4, its period; a rounded z^2 would cost ~z 1e-16.
     """
     z = np.asarray(z, dtype=float)
-    pizz = np.pi * z * z
-    b = 1.0 - 1j * pizz
+    hi = z * z
+    z_hi = z * _SPLITTER
+    z_hi -= z_hi - z
+    z_lo = z - z_hi
+    lo = ((z_hi * z_hi - hi) + 2.0 * z_hi * z_lo) + z_lo * z_lo
+    b = 1.0 - 1j * (np.pi * hi)
     f = b + 4.0 * _CF_DEPTH
     for k in range(_CF_DEPTH, 0, -1):
         f = (b + 4.0 * (k - 1)) + (-2.0 * k * (2.0 * k - 1.0)) / f
     h = (1.0 - 1j) * z / f
-    phase = np.exp(0.5j * pizz)
+    phase = np.exp(0.5j * np.pi * (np.fmod(hi, 4.0) + lo))
     return (0.5 + 0.5j) * (1.0 - phase * h)
 
 

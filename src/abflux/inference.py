@@ -7,17 +7,21 @@ fused pass over the hits.  Normalization over the window is exact in the
 same decomposition: the trapezoid integral of the density is the same
 linear combination of the component integrals.
 
-Estimation is plain unbinned maximum likelihood over the window-normalized
-density: a coarse grid scan over theta, phi in [0, pi] followed by
-alternating golden-section refinement on each axis.  The parameter pair is
-degenerate under (theta, phi) -> (pi - theta, 2 pi - phi); estimates are
-reported with phi in [0, pi], which the scan domain already enforces.
+Estimation is unbinned maximum likelihood.  The density depends on (theta,
+phi) only through c = cos(phi) and s = sin(phi) cos(theta), a point of the
+unit disk, and in u = t (1, c, s) on the plane N . u = 1 the log-likelihood
+sum_i log(a_i . u) is concave (Charnes & Cooper, NRLQ 9, 1962): damped
+Newton from the disk centre finds its one maximum without a grid.  When it
+is not inside the disk, the disk's maximum lies on the boundary circle, the
+definite-flux family (theta = 0 or pi), found by a 1-D scan and golden
+refine.  Estimates have phi in [0, pi]; (theta, phi) and (pi - theta,
+2 pi - phi) give the same density.
 
 The hidden-flux test compares the best superposition fit against the best
-definite-flux fit (theta pinned to 0 or pi, phi free).  The definite
-family is the boundary of the superposition family, so its maximized
-log-likelihood can never exceed the superposition one; the difference is
-the reported log-likelihood ratio.
+definite-flux fit.  The definite family is the boundary of the
+superposition family, so its maximized log-likelihood can never exceed the
+superposition one; the difference is the reported log-likelihood ratio,
+exactly 0 when the maximum lies on the boundary.
 """
 
 from __future__ import annotations
@@ -34,16 +38,16 @@ from .sampling import DEFAULT_GRID_POINTS, HitSet
 from .slits import ApertureGeometry
 
 DEFAULT_SCAN_POINTS = 181
-DEFAULT_DISCRIMINATE_SCAN_POINTS = 91   # per-axis scan inside discriminate
-REFINE_STEP = 1e-4          # rad; stop refining when neither axis moves this much
+REFINE_STEP = 1e-4          # rad; golden-section tolerance on the boundary circle
 _GOLDEN = (5.0 ** 0.5 - 1.0) / 2.0
-_FLAT_GAP_NATS = 10.0       # if the best fit beats the better zero-phase fit
-                            # (phi = 0 or pi, where sin(phi) = 0 and theta
-                            # drops out of the density) by less than this,
-                            # theta is unidentified; the two regimes
-                            # separate by orders of magnitude (flat data
-                            # stays below ~4 nats, identified cases run to
-                            # hundreds even at n = 1e3)
+_NEWTON_STEPS = 50          # fits with an interior maximum take at most ~10
+_NEWTON_GAP_NATS = 1e-10    # stop once the Newton decrement lambda^2 / 2 is below
+_FLAT_GAP_NATS = 10.0       # theta is unidentified when the best fit beats
+                            # the better zero-phase fit (phi = 0 or pi, where
+                            # theta drops out) by less than this; a sample's
+                            # maximum lies inside the disk, not on c = +-1.
+                            # Flat data stays below ~4 nats, identified cases
+                            # reach hundreds even at n = 1e3
 _CELL_BLOCK_FLOPS = 4_000_000
 
 
@@ -70,7 +74,7 @@ class Checkpoint(NamedTuple):
 
 @dataclass(frozen=True)
 class LikelihoodSurface:
-    """Log-likelihood over a (theta, phi) grid plus the refined argmax."""
+    """Log-likelihood over a (theta, phi) grid plus the likelihood maximum."""
 
     theta_grid: np.ndarray
     phi_grid: np.ndarray
@@ -190,9 +194,6 @@ class _LikelihoodContext:
         c = np.cos(phis)
         s = np.sin(phis) * np.cos(thetas)
         out = np.empty(c.size)
-        if self.n == 0:
-            out.fill(0.0)
-            return out
         block = max(1, _CELL_BLOCK_FLOPS // self.n)
         for i in range(0, c.size, block):
             cc = c[i:i + block, None]
@@ -248,73 +249,95 @@ def log_likelihood(hits, geometry=None, theta=None, phi=None, window=None,
 def _golden_max(func, lo, hi, tol):
     """Golden-section maximization of func on [lo, hi]; (x, f(x))."""
     a, b = float(lo), float(hi)
-    width = b - a
-    if width <= tol:
-        mid = 0.5 * (a + b)
-        return mid, func(mid)
-    x1 = b - _GOLDEN * width
-    x2 = a + _GOLDEN * width
-    f1 = func(x1)
-    f2 = func(x2)
-    while width > tol:
+    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    f1, f2 = func(x1), func(x2)
+    while b - a > tol:
         if f1 < f2:
-            a = x1
-            width = b - a
-            x1, f1 = x2, f2
-            x2 = a + _GOLDEN * width
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
             f2 = func(x2)
         else:
-            b = x2
-            width = b - a
-            x2, f2 = x1, f1
-            x1 = b - _GOLDEN * width
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
             f1 = func(x1)
     return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
-def _refine(ctx, theta, phi, theta_step, phi_step):
-    """Alternating per-axis golden-section climb from a scan cell."""
-    for _ in range(60):
-        new_theta, _ = _golden_max(
-            lambda t: ctx.loglik(t, phi),
-            max(0.0, theta - theta_step), min(np.pi, theta + theta_step),
-            REFINE_STEP,
-        )
-        new_phi, _ = _golden_max(
-            lambda p: ctx.loglik(new_theta, p),
-            max(0.0, phi - phi_step), min(np.pi, phi + phi_step),
-            REFINE_STEP,
-        )
-        moved = max(abs(new_theta - theta), abs(new_phi - phi))
-        theta, phi = new_theta, new_phi
-        if moved < REFINE_STEP:
-            break
-    return theta, phi, ctx.loglik(theta, phi)
+def _newton_disk(ctx):
+    """The log-likelihood maximum (c, s) inside the unit disk, or None.
+
+    With y = t (c, s) on the plane N . u = 1, log(a_i . u) is
+    log(A_i / N_A) + log(1 + y . g_i), g_i = N_A (B_i, C_i) / A_i - (N_B, N_C).
+    Damped Newton starts at y = 0, the disk centre.  A singular Hessian, an
+    unbounded likelihood or a limit outside the disk give None.
+    """
+    g1 = ctx.norm_a * ctx.hit_b / ctx.hit_a - ctx.norm_b
+    g2 = ctx.norm_a * ctx.hit_c / ctx.hit_a - ctx.norm_c
+    y1 = y2 = 0.0
+    for _ in range(_NEWTON_STEPS):
+        inv = 1.0 / (1.0 + y1 * g1 + y2 * g2)
+        q1, q2 = g1 * inv, g2 * inv
+        grad1, grad2 = q1.sum(), q2.sum()
+        h11, h12, h22 = (q1 * q1).sum(), (q1 * q2).sum(), (q2 * q2).sum()
+        det = h11 * h22 - h12 * h12
+        if not det > 1e-12 * h11 * h22:
+            return None
+        d1 = (h22 * grad1 - h12 * grad2) / det
+        d2 = (h11 * grad2 - h12 * grad1) / det
+        decrement = grad1 * d1 + grad2 * d2
+        if decrement < 2.0 * _NEWTON_GAP_NATS:
+            t = (1.0 - ctx.norm_b * y1 - ctx.norm_c * y2) / ctx.norm_a
+            if t > 0.0 and (y1 / t) ** 2 + (y2 / t) ** 2 < 1.0:
+                return float(y1 / t), float(y2 / t)
+            return None
+        # each term changes by log1p(step * ratio); backtrack until the
+        # step stays in the domain and gains a quarter of its linear estimate
+        ratio = d1 * q1 + d2 * q2
+        step = 1.0
+        while not (step * ratio.min() > -1.0
+                   and np.log1p(step * ratio).sum() >= 0.25 * step * decrement):
+            step *= 0.5
+            if step < 1e-12:
+                return None
+        y1, y2 = y1 + step * d1, y2 + step * d2
+    return None
 
 
-def _scan_and_refine(ctx, theta_points, phi_points):
-    """Grid scan over [0, pi] x [0, pi] plus refinement; returns the grids,
-    the loglik matrix, and the refined (theta, phi, loglik)."""
-    theta_grid = np.linspace(0.0, np.pi, int(theta_points))
-    phi_grid = np.linspace(0.0, np.pi, int(phi_points))
-    mesh_t, mesh_p = np.meshgrid(theta_grid, phi_grid, indexing="ij")
-    matrix = ctx.loglik_cells(mesh_t.ravel(), mesh_p.ravel()).reshape(mesh_t.shape)
-    i, j = np.unravel_index(np.argmax(matrix), matrix.shape)
-    theta_step = theta_grid[1] - theta_grid[0] if theta_grid.size > 1 else np.pi
-    phi_step = phi_grid[1] - phi_grid[0] if phi_grid.size > 1 else np.pi
-    theta_hat, phi_hat, best = _refine(
-        ctx, float(theta_grid[i]), float(phi_grid[j]), theta_step, phi_step
+def _circle_angles(alpha):
+    """(theta, phi) of the circle point (cos alpha, sin alpha), alpha taken
+    into (-pi, pi]: up (0, alpha) from 0 on, down (pi, -alpha) below 0."""
+    alpha = np.pi - np.mod(np.pi - alpha, 2.0 * np.pi)
+    return np.where(alpha >= 0.0, 0.0, np.pi), np.abs(alpha)
+
+
+def _fit_definite(ctx, phi_points):
+    """Best definite-flux model: the maximum over the boundary circle,
+    scanned on 2 phi_points - 1 angles and refined by golden section."""
+    alphas = np.linspace(-np.pi, np.pi, 2 * int(phi_points) - 1)
+    j = int(np.argmax(ctx.loglik_cells(*_circle_angles(alphas))))
+    step = alphas[1] - alphas[0]
+    alpha, value = _golden_max(
+        lambda a: ctx.loglik(*_circle_angles(a)),
+        alphas[j] - step, alphas[j] + step, REFINE_STEP,
     )
-    return theta_grid, phi_grid, matrix, theta_hat, phi_hat, best
+    theta, phi = _circle_angles(alpha)
+    return value, "up" if theta == 0.0 else "down", float(phi)
+
+
+def _check_points(**points):
+    for name, value in points.items():
+        if int(value) < 2:
+            raise DomainError(f"{name} must be at least 2, got {value!r}")
 
 
 def fit_mle(hits, geometry=None, window=None, theta_points=DEFAULT_SCAN_POINTS,
             phi_points=DEFAULT_SCAN_POINTS, grid_points=DEFAULT_GRID_POINTS):
     """Maximum-likelihood (theta, phi) from a hit set.
 
-    Coarse grid scan over [0, pi] x [0, pi] (the canonical half of the
-    degenerate parameter torus) followed by alternating golden-section
-    refinement until the per-round step drops below 1e-4 rad.
+    The estimate is the likelihood maximum over the (c, s) disk, the same
+    solve as :func:`discriminate` (``phi_points`` sets its boundary scan).
+    The ``theta_points`` x ``phi_points`` surface over [0, pi] x [0, pi] is
+    an output only; no cell of it exceeds the maximum.
 
     Returns a :class:`LikelihoodSurface`; ``theta_flat`` is set when the
     fit cannot reject the zero-phase family (phi = 0 or phi = pi, inside
@@ -324,110 +347,87 @@ def fit_mle(hits, geometry=None, window=None, theta_points=DEFAULT_SCAN_POINTS,
     positions, geometry, window = _resolve_inputs(hits, geometry, window)
     if positions.size == 0:
         raise DomainError("cannot fit an empty hit set")
+    _check_points(theta_points=theta_points, phi_points=phi_points)
     ctx = _LikelihoodContext(positions, geometry, window, grid_points)
-    theta_grid, phi_grid, matrix, theta_hat, phi_hat, best = _scan_and_refine(
-        ctx, theta_points, phi_points
-    )
-    theta_hat, phi_hat = canonical_angles(theta_hat, phi_hat)
-    zero_phase = max(ctx.loglik(0.0, 0.0), ctx.loglik(0.0, np.pi))
-    theta_flat = bool(best - zero_phase < _FLAT_GAP_NATS)
-    return LikelihoodSurface(
-        theta_grid=theta_grid,
-        phi_grid=phi_grid,
-        loglik=matrix,
-        theta_hat=theta_hat,
-        phi_hat=phi_hat,
-        loglik_max=best,
-        theta_flat=theta_flat,
-    )
-
-
-def _fit_definite(ctx, phi_points):
-    """Best definite-flux model: direction in {up, down}, phi free."""
+    best = _discriminate_ctx(ctx, phi_points)
+    theta_grid = np.linspace(0.0, np.pi, int(theta_points))
     phi_grid = np.linspace(0.0, np.pi, int(phi_points))
-    phi_step = phi_grid[1] - phi_grid[0]
-    best = (-np.inf, "up", 0.0)
-    for direction, theta_fixed in (("up", 0.0), ("down", np.pi)):
-        row = ctx.loglik_cells(np.full_like(phi_grid, theta_fixed), phi_grid)
-        j = int(np.argmax(row))
-        phi_hat, value = _golden_max(
-            lambda p: ctx.loglik(theta_fixed, p),
-            max(0.0, phi_grid[j] - phi_step), min(np.pi, phi_grid[j] + phi_step),
-            REFINE_STEP,
-        )
-        if value > best[0]:
-            best = (value, direction, float(phi_hat))
-    return best
+    mesh_t, mesh_p = np.meshgrid(theta_grid, phi_grid, indexing="ij")
+    matrix = ctx.loglik_cells(mesh_t.ravel(), mesh_p.ravel()).reshape(mesh_t.shape)
+    zero_phase = max(ctx.loglik(0.0, 0.0), ctx.loglik(0.0, np.pi))
+    return LikelihoodSurface(
+        theta_grid=theta_grid, phi_grid=phi_grid, loglik=matrix,
+        theta_hat=best.theta_hat, phi_hat=best.phi_hat,
+        loglik_max=best.loglik_superposition,
+        theta_flat=bool(best.loglik_superposition - zero_phase < _FLAT_GAP_NATS),
+    )
 
 
-def discriminate(hits, geometry=None, window=None,
-                 scan_points=DEFAULT_DISCRIMINATE_SCAN_POINTS,
+def discriminate(hits, geometry=None, window=None, scan_points=None,
                  phi_points=DEFAULT_SCAN_POINTS, grid_points=DEFAULT_GRID_POINTS):
     """Superposition-vs-definite-flux likelihood comparison.
 
-    Maximizes the log-likelihood under (a) the full superposition family
-    and (b) the definite-flux family (theta pinned to 0 or pi, phi free),
-    and reports both maxima and their difference (llr, >= 0 since the
-    definite family is the boundary of the superposition family).
+    Maximizes the log-likelihood over the superposition family, the (c, s)
+    disk, and over the definite-flux family, its boundary circle (theta 0
+    or pi, phi free, scanned at 2 phi_points - 1 angles), and reports both
+    maxima and their difference llr >= 0.  ``scan_points`` is accepted for
+    compatibility and has no effect.
     """
     positions, geometry, window = _resolve_inputs(hits, geometry, window)
     if positions.size == 0:
         raise DomainError("cannot discriminate on an empty hit set")
+    _check_points(phi_points=phi_points)
     ctx = _LikelihoodContext(positions, geometry, window, grid_points)
-    return _discriminate_ctx(ctx, scan_points, phi_points)
+    return _discriminate_ctx(ctx, phi_points)
 
 
-def _discriminate_ctx(ctx, scan_points, phi_points):
+def _discriminate_ctx(ctx, phi_points):
     loglik_definite, direction, definite_phi = _fit_definite(ctx, phi_points)
-    _, _, _, theta_hat, phi_hat, loglik_sup = _scan_and_refine(
-        ctx, scan_points, scan_points
-    )
-    # the definite optimum is a point of the superposition family; folding
-    # it in makes the nesting inequality exact instead of refinement-limited
-    boundary_theta = 0.0 if direction == "up" else np.pi
-    if loglik_definite > loglik_sup:
-        theta_hat, phi_hat, loglik_sup = boundary_theta, definite_phi, loglik_definite
-    theta_hat, phi_hat = canonical_angles(theta_hat, phi_hat)
+    theta_hat = 0.0 if direction == "up" else np.pi
+    phi_hat, loglik_sup = definite_phi, loglik_definite
+    point = _newton_disk(ctx)
+    if point is not None:
+        c, s = point
+        theta = float(np.arccos(np.clip(s / np.sqrt((1.0 - c) * (1.0 + c)), -1.0, 1.0)))
+        phi = float(np.arccos(c))
+        value = ctx.loglik(theta, phi)
+        # the definite optimum is a point of the superposition family; folding
+        # it in makes the nesting inequality exact instead of rounding-limited
+        if value > loglik_definite:
+            theta_hat, phi_hat, loglik_sup = theta, phi, value
     return HypothesisResult(
-        loglik_superposition=loglik_sup,
-        loglik_definite=loglik_definite,
-        llr=loglik_sup - loglik_definite,
-        n_hits=ctx.n,
-        theta_hat=theta_hat,
-        phi_hat=phi_hat,
-        definite_direction=direction,
-        definite_phi=definite_phi,
+        loglik_superposition=loglik_sup, loglik_definite=loglik_definite,
+        llr=loglik_sup - loglik_definite, n_hits=ctx.n,
+        theta_hat=theta_hat, phi_hat=phi_hat,
+        definite_direction=direction, definite_phi=definite_phi,
     )
 
 
 def sequential_trace(hits, geometry=None, window=None, checkpoint_schedule=(),
                      theta_points=DEFAULT_SCAN_POINTS, phi_points=DEFAULT_SCAN_POINTS,
-                     scan_points=DEFAULT_DISCRIMINATE_SCAN_POINTS,
-                     grid_points=DEFAULT_GRID_POINTS) -> SequentialTrace:
+                     scan_points=None, grid_points=DEFAULT_GRID_POINTS) -> SequentialTrace:
     """Fit and discriminate on growing hit prefixes.
 
     ``checkpoint_schedule`` is a strictly increasing sequence of prefix
     lengths, each at most the number of hits.  The pattern components are
-    computed once for the full set and sliced per checkpoint.
+    computed once for the full set and sliced per checkpoint, each of which
+    is one :func:`discriminate` solve.  ``theta_points`` is validated but,
+    like ``scan_points``, has no effect.
     """
     positions, geometry, window = _resolve_inputs(hits, geometry, window)
     schedule = [int(n) for n in checkpoint_schedule]
     if not schedule:
         raise DomainError("checkpoint schedule must not be empty")
-    if any(n < 1 for n in schedule) or any(
-        b <= a for a, b in zip(schedule, schedule[1:])
-    ):
+    if schedule[0] < 1 or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise DomainError("checkpoint schedule must be strictly increasing and >= 1")
     if schedule[-1] > positions.size:
         raise DomainError(
             f"schedule reaches {schedule[-1]} hits but only {positions.size} are available"
         )
+    _check_points(theta_points=theta_points, phi_points=phi_points)
     ctx = _LikelihoodContext(positions, geometry, window, grid_points)
     checkpoints = []
     for n in schedule:
-        sub = ctx.prefix(n)
-        _, _, _, theta_hat, phi_hat, _ = _scan_and_refine(sub, theta_points, phi_points)
-        theta_hat, phi_hat = canonical_angles(theta_hat, phi_hat)
-        result = _discriminate_ctx(sub, scan_points, phi_points)
-        checkpoints.append(Checkpoint(n, theta_hat, phi_hat, result.llr))
+        result = _discriminate_ctx(ctx.prefix(n), phi_points)
+        checkpoints.append(Checkpoint(n, result.theta_hat, result.phi_hat, result.llr))
     return SequentialTrace(checkpoints=tuple(checkpoints))

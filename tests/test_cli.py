@@ -324,3 +324,32 @@ def test_version_and_help(capsys):
     for command in ("pattern", "figure3", "figure4", "simulate", "infer",
                     "discriminate", "sweep"):
         assert command in out
+
+
+def test_scan_sizes_below_two_exit_2(tmp_path, capsys):
+    hits = tmp_path / "hits.csv"
+    run_ok(["simulate", "--out", str(hits), "--n-hits", "200", "--seed", "2"])
+    out = str(tmp_path / "out.csv")
+    assert main(["discriminate", str(hits), "--phi-points", "1", "--out", out]) == 2
+    assert main(["infer", str(hits), "--theta-points", "0", "--out", out]) == 2
+    assert main(["infer", str(hits), "--theta-points", "-3", "--out", out]) == 2
+    assert main(["infer", str(hits), "--phi-points", "1", "--out", out]) == 2
+    assert "at least 2" in capsys.readouterr().err
+
+
+def test_scan_points_accepted_without_effect(tmp_path):
+    hits = tmp_path / "hits.csv"
+    run_ok(["simulate", "--out", str(hits), "--theta", HALF_PI, "--phi",
+            HALF_PI, "--n-hits", "1500", "--seed", "3"])
+    plain, scanned = tmp_path / "plain.csv", tmp_path / "scanned.csv"
+    run_ok(["discriminate", str(hits), "--phi-points", "61", "--out", str(plain)])
+    run_ok(["discriminate", str(hits), "--phi-points", "61", "--scan-points", "7",
+            "--out", str(scanned)])
+    assert plain.read_bytes() == scanned.read_bytes()
+    comments, _, _ = read_csv(plain)
+    assert "scan_points" not in comments
+    for bad in (0, 2.5, "31"):
+        config = tmp_path / "bad_scan.json"
+        config.write_text(json.dumps({"scan_points": bad}))
+        assert main(["discriminate", str(hits), "--config", str(config),
+                     "--out", str(plain)]) == 2

@@ -156,3 +156,12 @@ def test_saturates_at_huge_arguments():
     assert fresnel_ei(-1e200) == -half
     assert np.all(np.isfinite(fresnel_ei_grid([np.finfo(float).max])))
     assert np.array_equal(fresnel_ei_grid([np.finfo(float).max]), [half])
+
+
+def test_large_arguments_match_scipy():
+    # the phase exp(i pi z^2 / 2) needs z^2 exactly; a rounded z^2 drifts
+    # like z * 1e-16 (5.7e-9 at z = 1e8)
+    zs = np.array([2.6, 15.0, 3e4, 1e5, 1e6, 1e8, 1e12, 1e16])
+    s, c = scipy_fresnel(zs)
+    assert np.max(np.abs(fresnel_ei_grid(zs) - (c + 1j * s))) <= 1e-12
+    assert np.max(np.abs(fresnel_ei_grid(-zs) + (c + 1j * s))) <= 1e-12

@@ -15,6 +15,7 @@ from abflux.inference import (
     Checkpoint,
     HypothesisResult,
     SequentialTrace,
+    _LikelihoodContext,
     canonical_angles,
     discriminate,
     fit_mle,
@@ -306,3 +307,81 @@ def test_segment_slopes_split_bounds(jonsson):
         segment_slopes(trace, 1)
     with pytest.raises(DomainError):
         segment_slopes(trace, 3)
+
+
+def test_scan_sizes_below_two_rejected(jonsson):
+    hits = make_hits(jonsson, np.pi / 2, np.pi / 2, 100, 31)
+    for points in (1, 0, -3):
+        with pytest.raises(DomainError):
+            fit_mle(hits, theta_points=points, phi_points=31)
+        with pytest.raises(DomainError):
+            fit_mle(hits, theta_points=31, phi_points=points)
+        with pytest.raises(DomainError):
+            discriminate(hits, phi_points=points)
+        with pytest.raises(DomainError):
+            sequential_trace(hits, checkpoint_schedule=(100,), theta_points=points)
+        with pytest.raises(DomainError):
+            sequential_trace(hits, checkpoint_schedule=(100,), phi_points=points)
+
+
+def test_few_hits_give_finite_fits(jonsson):
+    # with n <= 3 the likelihood's Hessian is singular or the likelihood is
+    # unbounded off the disk, so the maximum is found on the boundary circle
+    hits = make_hits(jonsson, 1.2, 2.0, 3, 41)
+    for n in (1, 2, 3):
+        prefix = hits.positions[:n]
+        kwargs = dict(geometry=jonsson, window=DEFAULT_WINDOW)
+        surface = fit_mle(prefix, **kwargs)
+        result = discriminate(prefix, **kwargs)
+        assert np.isfinite(surface.loglik_max)
+        assert surface.loglik_max >= np.max(surface.loglik)
+        assert np.isfinite(result.loglik_superposition)
+        assert result.llr >= 0.0
+        for angle in (surface.theta_hat, surface.phi_hat, result.theta_hat,
+                      result.phi_hat, result.definite_phi):
+            assert 0.0 <= angle <= np.pi
+
+
+def test_fit_and_discriminate_share_one_maximum(jonsson):
+    for theta, phi, seed in ((np.pi / 2, np.pi / 2, 50), (0.0, np.pi / 2, 300),
+                             (2.6, 0.7, 51)):
+        hits = make_hits(jonsson, theta, phi, 4000, seed)
+        surface = fit_mle(hits, theta_points=21, phi_points=45)
+        result = discriminate(hits, phi_points=45)
+        assert surface.theta_hat == result.theta_hat
+        assert surface.phi_hat == result.phi_hat
+        assert surface.loglik_max == result.loglik_superposition
+
+
+def test_boundary_maximum_reports_definite_fit(jonsson):
+    # definite-up data whose likelihood peaks outside the (c, s) disk: the
+    # disk maximum is the definite fit itself, so llr is exactly zero
+    result = discriminate(make_hits(jonsson, 0.0, np.pi / 2, 20000, 300))
+    assert result.llr == 0.0
+    assert result.theta_hat == 0.0
+    assert result.phi_hat == result.definite_phi
+    # an interior maximum beats the circle, and no nearby point beats it
+    hits = make_hits(jonsson, 1.2, 2.0, 3000, 52)
+    result = discriminate(hits)
+    assert result.llr > 0.0
+    for d_theta, d_phi in ((1e-3, 0.0), (-1e-3, 0.0), (0.0, 1e-3), (0.0, -1e-3)):
+        nearby = log_likelihood(
+            hits, theta=result.theta_hat + d_theta, phi=result.phi_hat + d_phi
+        )
+        assert nearby < result.loglik_superposition
+
+
+def test_discriminate_scans_no_grid(jonsson, monkeypatch):
+    # only the boundary circle is scanned: one row of 2 phi_points - 1 cells
+    sizes = []
+    original = _LikelihoodContext.loglik_cells
+
+    def counted(self, thetas, phis):
+        sizes.append(np.size(thetas))
+        return original(self, thetas, phis)
+
+    monkeypatch.setattr(_LikelihoodContext, "loglik_cells", counted)
+    hits = make_hits(jonsson, np.pi / 2, np.pi / 2, 2000, 53)
+    discriminate(hits, phi_points=61)
+    sequential_trace(hits, checkpoint_schedule=(1000, 2000), phi_points=61)
+    assert sizes == [121, 121, 121]

@@ -1,0 +1,36 @@
+"""Property tests of the likelihood maximum over random truths and sizes.
+
+Examples are derandomized, so every run draws the same cases.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from abflux.inference import discriminate, fit_mle, log_likelihood
+from abflux.pattern import FluxState
+from abflux.sampling import SampleConfig, sample_hits
+from abflux.slits import DEFAULT_WINDOW
+
+RTOL = 1e-9
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    theta=st.floats(0.0, np.pi),
+    phi=st.floats(0.0, 2.0 * np.pi),
+    n=st.integers(50, 3000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_maximum_dominates_surface_and_truth(jonsson, theta, phi, n, seed):
+    hits = sample_hits(jonsson, FluxState(theta, phi),
+                       SampleConfig(n_hits=n, seed=seed, window=DEFAULT_WINDOW))
+    surface = fit_mle(hits, theta_points=31, phi_points=31)
+    slack = RTOL * abs(surface.loglik_max)
+    assert surface.loglik_max >= np.max(surface.loglik) - slack
+    assert surface.loglik_max >= log_likelihood(hits, theta=theta, phi=phi) - slack
+
+    coarse = discriminate(hits, scan_points=31, phi_points=31)
+    assert coarse.llr >= 0.0
+    assert coarse == discriminate(hits, scan_points=91, phi_points=31)
+    assert (coarse.theta_hat, coarse.phi_hat, coarse.loglik_superposition) == (
+        surface.theta_hat, surface.phi_hat, surface.loglik_max)
