@@ -86,22 +86,27 @@ def _continued_fraction(z):
         b_k = (1 - i*pi*z^2) + 4k,   a_k = -2k(2k-1),
 
     truncated after b_k at k = ``_CF_DEPTH`` and evaluated bottom-up.  The
-    phase takes z^2 exactly, as hi + lo (a Veltkamp two-product), with hi
-    reduced mod 4, its period; a rounded z^2 would cost ~z 1e-16.
+    phase takes z^2 mod 4, its period, from an exact z^2; a rounded z^2
+    would cost ~z 1e-16.
     """
     z = np.asarray(z, dtype=float)
+    turns = _square_mod4(z)
+    b = 1.0 - 1j * (np.pi * z * z)
+    f = b + 4.0 * _CF_DEPTH
+    for k in range(_CF_DEPTH, 0, -1):
+        f = (b + 4.0 * (k - 1)) + (-2.0 * k * (2.0 * k - 1.0)) / f
+    del b   # the arrays alive below stay within the loop's peak memory
+    phase = np.exp(0.5j * np.pi * turns)
+    return (0.5 + 0.5j) * (1.0 - phase * ((1.0 - 1j) * z / f))
+
+
+def _square_mod4(z):
+    """z^2 mod 4 from z^2 = hi + lo exactly (Veltkamp's two-product)."""
     hi = z * z
     z_hi = z * _SPLITTER
     z_hi -= z_hi - z
     z_lo = z - z_hi
-    lo = ((z_hi * z_hi - hi) + 2.0 * z_hi * z_lo) + z_lo * z_lo
-    b = 1.0 - 1j * (np.pi * hi)
-    f = b + 4.0 * _CF_DEPTH
-    for k in range(_CF_DEPTH, 0, -1):
-        f = (b + 4.0 * (k - 1)) + (-2.0 * k * (2.0 * k - 1.0)) / f
-    h = (1.0 - 1j) * z / f
-    phase = np.exp(0.5j * np.pi * (np.fmod(hi, 4.0) + lo))
-    return (0.5 + 0.5j) * (1.0 - phase * h)
+    return np.fmod(hi, 4.0) + (((z_hi * z_hi - hi) + 2.0 * z_hi * z_lo) + z_lo * z_lo)
 
 
 def _fresnel_ei_array(z):
