@@ -44,10 +44,6 @@ _CF_DEPTH = 26
 # pi z^2 finite.
 _SATURATION = 1e17
 
-# Veltkamp's 2^27 + 1 splits a double into two 26-bit halves whose
-# products are exact.
-_SPLITTER = 134217729.0
-
 # Coefficient of z^(2n+1) in the series for E is (i pi/2)^n / (n! (2n+1));
 # even n feed C, odd n feed S, and i^n alternates the sign in each.
 _COEFFS = [
@@ -103,7 +99,7 @@ def _continued_fraction(z):
 def _square_mod4(z):
     """z^2 mod 4 from z^2 = hi + lo exactly (Veltkamp's two-product)."""
     hi = z * z
-    z_hi = z * _SPLITTER
+    z_hi = z * 134217729.0   # 2^27 + 1 splits z into halves with exact products
     z_hi -= z_hi - z
     z_lo = z - z_hi
     return np.fmod(hi, 4.0) + (((z_hi * z_hi - hi) + 2.0 * z_hi * z_lo) + z_lo * z_lo)

@@ -325,8 +325,9 @@ def test_scan_sizes_below_two_rejected(jonsson):
 
 
 def test_few_hits_give_finite_fits(jonsson):
-    # with n <= 3 the likelihood's Hessian is singular or the likelihood is
-    # unbounded off the disk, so the maximum is found on the boundary circle
+    # one and two hits leave no interior maximum (a singular Hessian, or a
+    # likelihood unbounded off the disk), so the boundary circle answers;
+    # these three hits have one
     hits = make_hits(jonsson, 1.2, 2.0, 3, 41)
     for n in (1, 2, 3):
         prefix = hits.positions[:n]
