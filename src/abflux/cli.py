@@ -76,6 +76,7 @@ _INT_KEYS = frozenset(
         "theta_points",
         "phi_points",
         "scan_points",
+        "workers",
     }
 )
 _STRIPE_ROWS = 64   # pattern heatmaps repeat the single density row this often
@@ -140,7 +141,7 @@ def _merge(config_path, overrides) -> RunConfig:
             explicit.add(key)
     for key in _INT_KEYS:
         value = values[key]
-        if value is None:   # scan_points left unset
+        if value is None:   # scan_points or workers left unset
             continue
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise DomainError(f"config key '{key}' must be an integer")
@@ -149,16 +150,11 @@ def _merge(config_path, overrides) -> RunConfig:
                 raise DomainError(f"config key '{key}' must be an integer")
             value = int(value)
         values[key] = int(value)
-    for key in set(_DEFAULTS) - _INT_KEYS - {"workers"}:
+    for key in set(_DEFAULTS) - _INT_KEYS:
         value = values[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise DomainError(f"config key '{key}' must be a number")
         values[key] = float(value)
-    if values["workers"] is not None:
-        try:
-            values["workers"] = int(values["workers"])
-        except (TypeError, ValueError):
-            raise DomainError("config key 'workers' must be an integer") from None
     for key in ("workers", "scan_points"):
         if values[key] is not None and values[key] < 1:
             raise DomainError(f"config key '{key}' must be at least 1")
@@ -174,6 +170,15 @@ def _add_options(options):
     return wrap
 
 
+_MODEL_HELP = {
+    "source_to_slit_m": "Source to slit-plane distance in meters.",
+    "slit_to_screen_m": "Slit-plane to screen distance in meters.",
+    "wavelength_m": "De Broglie wavelength in meters.",
+    "slit_half_width_m": "Half-width of each slit in meters.",
+    "slit_half_separation_m": "Half-distance between slit centers in meters.",
+    "window_min_m": "Lower edge of the screen window in meters.",
+    "window_max_m": "Upper edge of the screen window in meters.",
+}
 _CONFIG_OPTIONS = [
     click.option(
         "--config",
@@ -182,61 +187,10 @@ _CONFIG_OPTIONS = [
         default=None,
         help="JSON config file; explicit flags override its fields.",
     ),
-    click.option(
-        "--source-to-slit",
-        "source_to_slit_m",
-        type=float,
-        default=None,
-        metavar="M",
-        help="Source to slit-plane distance in meters.",
-    ),
-    click.option(
-        "--slit-to-screen",
-        "slit_to_screen_m",
-        type=float,
-        default=None,
-        metavar="M",
-        help="Slit-plane to screen distance in meters.",
-    ),
-    click.option(
-        "--wavelength",
-        "wavelength_m",
-        type=float,
-        default=None,
-        metavar="M",
-        help="De Broglie wavelength in meters.",
-    ),
-    click.option(
-        "--slit-half-width",
-        "slit_half_width_m",
-        type=float,
-        default=None,
-        metavar="M",
-        help="Half-width of each slit in meters.",
-    ),
-    click.option(
-        "--slit-half-separation",
-        "slit_half_separation_m",
-        type=float,
-        default=None,
-        metavar="M",
-        help="Half-distance between slit centers in meters.",
-    ),
-    click.option(
-        "--window-min",
-        "window_min_m",
-        type=float,
-        default=None,
-        metavar="M",
-        help="Lower edge of the screen window in meters.",
-    ),
-    click.option(
-        "--window-max",
-        "window_max_m",
-        type=float,
-        default=None,
-        metavar="M",
-        help="Upper edge of the screen window in meters.",
+    *(
+        click.option(f"--{key.removesuffix('_m').replace('_', '-')}", key, type=float,
+                     default=None, metavar="M", help=_MODEL_HELP[key])
+        for key, _ in MODEL_KEYS
     ),
     click.option(
         "--grid-points",
@@ -285,7 +239,7 @@ _INFER_OPTIONS = [
     click.option("--theta-points", "theta_points", type=int, default=None,
                  help="Theta resolution of the likelihood surface."),
     click.option("--phi-points", "phi_points", type=int, default=None,
-                 help="Phi resolution of the likelihood surface and definite-flux scan."),
+                 help="Phi resolution of the likelihood surface."),
     click.option("--scan-points", "scan_points", type=int, default=None,
                  help="Accepted for compatibility; no effect."),
     click.option(

@@ -13,9 +13,10 @@ unit disk, and in u = t (1, c, s) on the plane N . u = 1 the log-likelihood
 sum_i log(a_i . u) is concave (Charnes & Cooper, NRLQ 9, 1962): damped
 Newton from the disk centre finds its one maximum without a grid.  When it
 is not inside the disk, the disk's maximum lies on the boundary circle, the
-definite-flux family (theta = 0 or pi), found by a 1-D scan and golden
-refine.  Estimates have phi in [0, pi]; (theta, phi) and (pi - theta,
-2 pi - phi) give the same density.
+definite-flux family (theta = 0 or pi), whose global maximum branch and
+bound over arcs certifies to _GAP_NATS: on the same plane, tangent planes
+of the concave log-likelihood bound it from above.  Estimates have phi in
+[0, pi]; (theta, phi) and (pi - theta, 2 pi - phi) give the same density.
 
 The hidden-flux test compares the best superposition fit against the best
 definite-flux fit.  The definite family is the boundary of the
@@ -26,6 +27,8 @@ exactly 0 when the maximum lies on the boundary.
 
 from __future__ import annotations
 
+import heapq
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -38,8 +41,8 @@ from .sampling import DEFAULT_GRID_POINTS, HitSet
 from .slits import ApertureGeometry
 
 DEFAULT_SCAN_POINTS = 181
-REFINE_STEP = 1e-4          # rad; golden-section tolerance on the boundary circle
-_GOLDEN = (5.0 ** 0.5 - 1.0) / 2.0
+_GAP_NATS = 1e-9            # certified distance of the circle fit below its maximum
+_ARCS = 16                  # initial arcs of the circle's branch and bound
 _NEWTON_STEPS = 50          # fits with an interior maximum take at most ~10
 _NEWTON_GAP_NATS = 1e-10    # stop once the Newton decrement lambda^2 / 2 is below
 _FLAT_GAP_NATS = 10.0       # theta is unidentified when the best fit beats
@@ -246,24 +249,7 @@ def log_likelihood(hits, geometry=None, theta=None, phi=None, window=None,
     return value
 
 
-def _golden_max(func, lo, hi, tol):
-    """Golden-section maximization of func on [lo, hi]; (x, f(x))."""
-    a, b = float(lo), float(hi)
-    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    f1, f2 = func(x1), func(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = func(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = func(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
-
-
-def _newton_disk(ctx):
+def _newton_disk(ctx, g1, g2):
     """The log-likelihood maximum (c, s) inside the unit disk, or None.
 
     With y = t (c, s) on the plane N . u = 1, log(a_i . u) is
@@ -271,8 +257,6 @@ def _newton_disk(ctx):
     Damped Newton starts at y = 0, the disk centre.  A singular Hessian, an
     unbounded likelihood or a limit outside the disk give None.
     """
-    g1 = ctx.norm_a * ctx.hit_b / ctx.hit_a - ctx.norm_b
-    g2 = ctx.norm_a * ctx.hit_c / ctx.hit_a - ctx.norm_c
     y1 = y2 = 0.0
     for _ in range(_NEWTON_STEPS):
         inv = 1.0 / (1.0 + y1 * g1 + y2 * g2)
@@ -310,18 +294,76 @@ def _circle_angles(alpha):
     return np.where(alpha >= 0.0, 0.0, np.pi), np.abs(alpha)
 
 
-def _fit_definite(ctx, phi_points):
-    """Best definite-flux model: the maximum over the boundary circle,
-    scanned on 2 phi_points - 1 angles and refined by golden section."""
-    alphas = np.linspace(-np.pi, np.pi, 2 * int(phi_points) - 1)
-    j = int(np.argmax(ctx.loglik_cells(*_circle_angles(alphas))))
-    step = alphas[1] - alphas[0]
-    alpha, value = _golden_max(
-        lambda a: ctx.loglik(*_circle_angles(a)),
-        alphas[j] - step, alphas[j] + step, REFINE_STEP,
-    )
-    theta, phi = _circle_angles(alpha)
-    return value, "up" if theta == 0.0 else "down", float(phi)
+def _circle_roots(v0, v1, v2):
+    """Angles alpha with v0 + v1 cos(alpha) + v2 sin(alpha) = 0."""
+    rho = math.hypot(v1, v2)
+    if not rho >= abs(v0):
+        return ()
+    beta, half = math.atan2(v2, v1), math.acos(-v0 / rho)
+    return beta - half, beta + half
+
+
+def _fit_definite(ctx, g1, g2):
+    """Best definite-flux model: the log-likelihood maximum on the boundary
+    circle (c, s) = (cos alpha, sin alpha), to within _GAP_NATS.
+
+    There y = (c, s) / N . w with w = (1, c, s) and N = (N_A, N_B, N_C), and
+    F(y) = sum log(1 + y . g_i) is concave, so the tangent plane at an anchor
+    bounds F everywhere.  On the circle it reads L . w / N . w with
+    L = (F - k . y) N + (0, k), k the gradient; its stationary points solve
+    (L x N) . (-1, c, s) = 0.  An arc's bound is the largest value of the
+    smaller tangent of its two ends, taken at an end, at a stationary point
+    or where the tangents cross, (L_lo - L_hi) . w = 0.  The arc of largest
+    bound is halved until no bound beats the best anchor by more than the
+    gap, or float spacing leaves no midpoint.
+    """
+    na, nb, nc = ctx.norm_a, ctx.norm_b, ctx.norm_c
+
+    def anchor(alpha):
+        c, s = math.cos(alpha), math.sin(alpha)
+        t = 1.0 / (na + nb * c + nc * s)
+        v = 1.0 + (t * c) * g1 + (t * s) * g2
+        if not v.min() > 0.0:   # a hit where this definite density vanishes
+            return alpha, -math.inf, None
+        value, inv = float(np.log(v).sum()), 1.0 / v
+        k1, k2 = float(g1 @ inv), float(g2 @ inv)
+        shift = value - t * (k1 * c + k2 * s)
+        return alpha, value, (shift * na, shift * nb + k1, shift * nc + k2)
+
+    def push(lo, hi):
+        (a, _, la), (b, _, lb) = lo, hi
+        bound = math.inf
+        if la and lb:
+            # the smaller tangent peaks at an end, where the tangents cross or
+            # where one of them is stationary
+            roots = list(_circle_roots(*(p - q for p, q in zip(la, lb))))
+            for l0, l1, l2 in (la, lb):
+                roots += _circle_roots(l2 * nb - l1 * nc, l2 * na - l0 * nc,
+                                       l0 * nb - l1 * na)
+            alphas = [a, b] + [x for x in (a + (r - a) % (2.0 * math.pi) for r in roots)
+                               if x < b]
+            bound = max(
+                min(la[0] + la[1] * c + la[2] * s, lb[0] + lb[1] * c + lb[2] * s)
+                / (na + nb * c + nc * s)
+                for c, s in ((math.cos(x), math.sin(x)) for x in alphas)
+            )
+        heapq.heappush(heap, (-bound, a, lo, hi))
+
+    anchors = [anchor(a) for a in np.linspace(-np.pi, np.pi, _ARCS + 1).tolist()]
+    best = max(anchors, key=lambda e: e[1])
+    heap = []
+    for lo, hi in zip(anchors, anchors[1:]):
+        push(lo, hi)
+    while heap and -heap[0][0] > best[1] + _GAP_NATS:
+        _, a, lo, hi = heapq.heappop(heap)
+        mid = 0.5 * (a + hi[0])
+        if a < mid < hi[0]:
+            middle = anchor(mid)
+            best = max(best, middle, key=lambda e: e[1])
+            push(lo, middle)
+            push(middle, hi)
+    theta, phi = _circle_angles(best[0])
+    return ctx.loglik(theta, phi), "up" if theta == 0.0 else "down", float(phi)
 
 
 def _check_points(**points):
@@ -335,9 +377,9 @@ def fit_mle(hits, geometry=None, window=None, theta_points=DEFAULT_SCAN_POINTS,
     """Maximum-likelihood (theta, phi) from a hit set.
 
     The estimate is the likelihood maximum over the (c, s) disk, the same
-    solve as :func:`discriminate` (``phi_points`` sets its boundary scan).
-    The ``theta_points`` x ``phi_points`` surface over [0, pi] x [0, pi] is
-    an output only; no cell of it exceeds the maximum.
+    solve as :func:`discriminate`.  The ``theta_points`` x ``phi_points``
+    surface over [0, pi] x [0, pi] is an output only, the one use of both
+    sizes; no cell of it exceeds the maximum.
 
     Returns a :class:`LikelihoodSurface`; ``theta_flat`` is set when the
     fit cannot reject the zero-phase family (phi = 0 or phi = pi, inside
@@ -349,7 +391,7 @@ def fit_mle(hits, geometry=None, window=None, theta_points=DEFAULT_SCAN_POINTS,
         raise DomainError("cannot fit an empty hit set")
     _check_points(theta_points=theta_points, phi_points=phi_points)
     ctx = _LikelihoodContext(positions, geometry, window, grid_points)
-    best = _discriminate_ctx(ctx, phi_points)
+    best = _discriminate_ctx(ctx)
     theta_grid = np.linspace(0.0, np.pi, int(theta_points))
     phi_grid = np.linspace(0.0, np.pi, int(phi_points))
     mesh_t, mesh_p = np.meshgrid(theta_grid, phi_grid, indexing="ij")
@@ -369,23 +411,25 @@ def discriminate(hits, geometry=None, window=None, scan_points=None,
 
     Maximizes the log-likelihood over the superposition family, the (c, s)
     disk, and over the definite-flux family, its boundary circle (theta 0
-    or pi, phi free, scanned at 2 phi_points - 1 angles), and reports both
-    maxima and their difference llr >= 0.  ``scan_points`` is accepted for
-    compatibility and has no effect.
+    or pi, phi free), and reports both maxima and their difference
+    llr >= 0.  ``phi_points`` is validated but, like ``scan_points``, has
+    no effect.
     """
     positions, geometry, window = _resolve_inputs(hits, geometry, window)
     if positions.size == 0:
         raise DomainError("cannot discriminate on an empty hit set")
     _check_points(phi_points=phi_points)
     ctx = _LikelihoodContext(positions, geometry, window, grid_points)
-    return _discriminate_ctx(ctx, phi_points)
+    return _discriminate_ctx(ctx)
 
 
-def _discriminate_ctx(ctx, phi_points):
-    loglik_definite, direction, definite_phi = _fit_definite(ctx, phi_points)
+def _discriminate_ctx(ctx):
+    g1 = ctx.norm_a * ctx.hit_b / ctx.hit_a - ctx.norm_b
+    g2 = ctx.norm_a * ctx.hit_c / ctx.hit_a - ctx.norm_c
+    loglik_definite, direction, definite_phi = _fit_definite(ctx, g1, g2)
     theta_hat = 0.0 if direction == "up" else np.pi
     phi_hat, loglik_sup = definite_phi, loglik_definite
-    point = _newton_disk(ctx)
+    point = _newton_disk(ctx, g1, g2)
     if point is not None:
         c, s = point
         theta = float(np.arccos(np.clip(s / np.sqrt((1.0 - c) * (1.0 + c)), -1.0, 1.0)))
@@ -411,8 +455,8 @@ def sequential_trace(hits, geometry=None, window=None, checkpoint_schedule=(),
     ``checkpoint_schedule`` is a strictly increasing sequence of prefix
     lengths, each at most the number of hits.  The pattern components are
     computed once for the full set and sliced per checkpoint, each of which
-    is one :func:`discriminate` solve.  ``theta_points`` is validated but,
-    like ``scan_points``, has no effect.
+    is one :func:`discriminate` solve.  ``theta_points`` and ``phi_points``
+    are validated but, like ``scan_points``, have no effect.
     """
     positions, geometry, window = _resolve_inputs(hits, geometry, window)
     schedule = [int(n) for n in checkpoint_schedule]
@@ -428,6 +472,6 @@ def sequential_trace(hits, geometry=None, window=None, checkpoint_schedule=(),
     ctx = _LikelihoodContext(positions, geometry, window, grid_points)
     checkpoints = []
     for n in schedule:
-        result = _discriminate_ctx(ctx.prefix(n), phi_points)
+        result = _discriminate_ctx(ctx.prefix(n))
         checkpoints.append(Checkpoint(n, result.theta_hat, result.phi_hat, result.llr))
     return SequentialTrace(checkpoints=tuple(checkpoints))

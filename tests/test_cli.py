@@ -301,6 +301,12 @@ def test_config_validation_failures(tmp_path, capsys):
     bad_workers = tmp_path / "bad_workers.json"
     bad_workers.write_text(json.dumps({"workers": 0}))
     assert main(["pattern", "--config", str(bad_workers)]) == 2
+    # the JSON number 1e400 parses as inf
+    for text in ('{"workers": 1e400}', '{"workers": 2.5}', '{"workers": "3"}',
+                 '{"workers": true}'):
+        bad_workers.write_text(text)
+        assert main(["pattern", "--config", str(bad_workers)]) == 2
+        assert "'workers' must be an integer" in capsys.readouterr().err
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -373,7 +373,7 @@ def test_boundary_maximum_reports_definite_fit(jonsson):
 
 
 def test_discriminate_scans_no_grid(jonsson, monkeypatch):
-    # only the boundary circle is scanned: one row of 2 phi_points - 1 cells
+    # neither the disk nor its boundary circle is scanned
     sizes = []
     original = _LikelihoodContext.loglik_cells
 
@@ -385,4 +385,20 @@ def test_discriminate_scans_no_grid(jonsson, monkeypatch):
     hits = make_hits(jonsson, np.pi / 2, np.pi / 2, 2000, 53)
     discriminate(hits, phi_points=61)
     sequential_trace(hits, checkpoint_schedule=(1000, 2000), phi_points=61)
-    assert sizes == [121, 121, 121]
+    assert sizes == []
+
+
+def test_definite_fit_is_the_global_circle_maximum(jonsson):
+    # each circle holds a local maximum close to the global one, 1.5e-3 nats
+    # below it in the first case and 0.306 nats in the second, that a
+    # 361-cell scan brackets instead
+    for theta, phi, n, seed, best_phi in (
+            (1.0813697027219586, 4.2957156093153035, 478, 3748687006, 2.1729),
+            (1.505440187971224, 4.14234703491679, 34488, 3242807349, 3.1172)):
+        hits = make_hits(jonsson, theta, phi, n, seed)
+        result = discriminate(hits)
+        ctx = _LikelihoodContext(hits.positions, jonsson, DEFAULT_WINDOW)
+        alphas = np.linspace(-np.pi, np.pi, 65536, endpoint=False)
+        scan = ctx.loglik_cells(np.where(alphas >= 0.0, 0.0, np.pi), np.abs(alphas))
+        assert result.loglik_definite >= scan.max() - 1e-9 * abs(scan.max())
+        assert abs(result.definite_phi - best_phi) <= 1e-3

@@ -6,7 +6,7 @@ Examples are derandomized, so every run draws the same cases.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from abflux.inference import discriminate, fit_mle, log_likelihood
+from abflux.inference import _LikelihoodContext, discriminate, fit_mle, log_likelihood
 from abflux.pattern import FluxState
 from abflux.sampling import SampleConfig, sample_hits
 from abflux.slits import DEFAULT_WINDOW
@@ -32,5 +32,10 @@ def test_maximum_dominates_surface_and_truth(jonsson, theta, phi, n, seed):
     coarse = discriminate(hits, scan_points=31, phi_points=31)
     assert coarse.llr >= 0.0
     assert coarse == discriminate(hits, scan_points=91, phi_points=31)
+    assert coarse == discriminate(hits, phi_points=181)
+    ctx = _LikelihoodContext(hits.positions, jonsson, DEFAULT_WINDOW)
+    alphas = np.linspace(-np.pi, np.pi, 4096, endpoint=False)
+    circle = ctx.loglik_cells(np.where(alphas >= 0.0, 0.0, np.pi), np.abs(alphas))
+    assert coarse.loglik_definite >= np.max(circle) - slack
     assert (coarse.theta_hat, coarse.phi_hat, coarse.loglik_superposition) == (
         surface.theta_hat, surface.phi_hat, surface.loglik_max)
