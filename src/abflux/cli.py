@@ -235,20 +235,23 @@ _PARAM_OPTION = click.option(
     default=None,
     help="Number of parameter values per figure panel.",
 )
-_INFER_OPTIONS = [
-    click.option("--theta-points", "theta_points", type=int, default=None,
-                 help="Theta resolution of the likelihood surface."),
-    click.option("--phi-points", "phi_points", type=int, default=None,
-                 help="Phi resolution of the likelihood surface."),
-    click.option("--scan-points", "scan_points", type=int, default=None,
-                 help="Accepted for compatibility; no effect."),
-    click.option(
-        "--allow-mismatch",
-        is_flag=True,
-        help="Analyze under the configured model even if the hits file "
-        "provenance disagrees with it.",
-    ),
-]
+
+
+def _infer_options(theta_help, phi_help):
+    return [
+        click.option("--theta-points", "theta_points", type=int, default=None,
+                     help=theta_help),
+        click.option("--phi-points", "phi_points", type=int, default=None,
+                     help=phi_help),
+        click.option("--scan-points", "scan_points", type=int, default=None,
+                     help="Accepted for compatibility; no effect."),
+        click.option(
+            "--allow-mismatch",
+            is_flag=True,
+            help="Analyze under the configured model even if the hits file "
+            "provenance disagrees with it.",
+        ),
+    ]
 
 
 @click.group()
@@ -394,7 +397,9 @@ def _load_hits(path, run, allow_mismatch):
 
 @cli.command()
 @click.argument("hits_file")
-@_add_options(_CONFIG_OPTIONS + _INFER_OPTIONS)
+@_add_options(_CONFIG_OPTIONS + _infer_options(
+    "Theta resolution of the likelihood surface.",
+    "Phi resolution of the likelihood surface."))
 @click.option("--out", "out_path", default="surface.csv", show_default=True,
               help="Output CSV path for the likelihood surface.")
 def infer(hits_file, out_path, allow_mismatch, **kwargs):
@@ -423,7 +428,9 @@ def infer(hits_file, out_path, allow_mismatch, **kwargs):
 
 @cli.command()
 @click.argument("hits_file")
-@_add_options(_CONFIG_OPTIONS + _INFER_OPTIONS)
+@_add_options(_CONFIG_OPTIONS + _infer_options(
+    "Accepted for compatibility; no effect.",
+    "Validated (at least 2); no effect."))
 @click.option("--out", "out_path", default="discriminate.csv", show_default=True,
               help="Output CSV path for the comparison row.")
 def discriminate(hits_file, out_path, allow_mismatch, **kwargs):

@@ -51,7 +51,7 @@ _FLAT_GAP_NATS = 10.0       # theta is unidentified when the best fit beats
                             # maximum lies inside the disk, not on c = +-1.
                             # Flat data stays below ~4 nats, identified cases
                             # reach hundreds even at n = 1e3
-_CELL_BLOCK_FLOPS = 4_000_000
+_CELL_BLOCK = 1 << 16       # hits-by-cells elements per loglik_cells buffer
 
 
 def canonical_angles(theta, phi):
@@ -190,24 +190,30 @@ class _LikelihoodContext:
         return self.loglik_and_zero_count(theta, phi)[0]
 
     def loglik_cells(self, thetas, phis):
-        """Log-likelihood at paired (theta, phi) arrays, blocked so the
-        hits-by-cells work array stays small."""
+        """Log-likelihood at paired (theta, phi) arrays, bit-identical to
+        :meth:`loglik` per cell.  Cells go in blocks of _CELL_BLOCK
+        hits-by-cells elements through two reused buffers, so the work
+        stays in cache and nothing is allocated per block."""
         thetas = np.asarray(thetas, dtype=float)
         phis = np.asarray(phis, dtype=float)
         c = np.cos(phis)
         s = np.sin(phis) * np.cos(thetas)
         out = np.empty(c.size)
-        block = max(1, _CELL_BLOCK_FLOPS // self.n)
-        for i in range(0, c.size, block):
-            cc = c[i:i + block, None]
-            ss = s[i:i + block, None]
-            v = self.hit_a[None, :] + cc * self.hit_b[None, :]
-            v += ss * self.hit_c[None, :]
-            bad = (v <= 0.0).any(axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rows = np.log(v).sum(axis=1)
-            rows[bad] = -np.inf
-            out[i:i + block] = rows
+        rows = max(1, _CELL_BLOCK // max(self.n, 1))
+        v = np.empty((rows, self.n))
+        w = np.empty((rows, self.n))
+        # a zero density logs to -inf and a negative one to nan
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(0, c.size, rows):
+                k = min(rows, c.size - i)
+                vk, wk = v[:k], w[:k]
+                np.multiply(c[i:i + k, None], self.hit_b, out=vk)
+                vk += self.hit_a
+                np.multiply(s[i:i + k, None], self.hit_c, out=wk)
+                vk += wk
+                np.log(vk, out=vk)
+                np.sum(vk, axis=1, out=out[i:i + k])
+        out[np.isnan(out)] = -np.inf
         return out - self.n * np.log(self.norm_a + c * self.norm_b + s * self.norm_c)
 
 

@@ -332,6 +332,19 @@ def test_version_and_help(capsys):
         assert command in out
 
 
+def test_points_help_per_command(capsys):
+    # only infer writes a surface; discriminate checks phi_points and ignores both
+    assert main(["infer", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--theta-points INTEGER Theta resolution of the likelihood surface." in text
+    assert "--phi-points INTEGER Phi resolution of the likelihood surface." in text
+    assert main(["discriminate", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "likelihood surface" not in text
+    assert "--theta-points INTEGER Accepted for compatibility; no effect." in text
+    assert "--phi-points INTEGER Validated (at least 2); no effect." in text
+
+
 def test_scan_sizes_below_two_exit_2(tmp_path, capsys):
     hits = tmp_path / "hits.csv"
     run_ok(["simulate", "--out", str(hits), "--n-hits", "200", "--seed", "2"])

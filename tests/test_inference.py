@@ -15,6 +15,7 @@ from abflux.inference import (
     Checkpoint,
     HypothesisResult,
     SequentialTrace,
+    _CELL_BLOCK,
     _LikelihoodContext,
     canonical_angles,
     discriminate,
@@ -402,3 +403,46 @@ def test_definite_fit_is_the_global_circle_maximum(jonsson):
         scan = ctx.loglik_cells(np.where(alphas >= 0.0, 0.0, np.pi), np.abs(alphas))
         assert result.loglik_definite >= scan.max() - 1e-9 * abs(scan.max())
         assert abs(result.definite_phi - best_phi) <= 1e-3
+
+
+def _per_cell(ctx, thetas, phis):
+    return np.array([ctx.loglik(t, p) for t, p in zip(thetas, phis)])
+
+
+def test_loglik_cells_equal_per_cell_loglik(jonsson):
+    # 667 cells at 21 per block, the last block partial; then one cell per block
+    for n, thetas, phis in (
+            (3000, np.linspace(0.0, np.pi, 23), np.linspace(0.0, 2.0 * np.pi, 29)),
+            (_CELL_BLOCK + 1000, np.array([0.3, 2.0]), np.array([0.4, 1.7, 5.0]))):
+        hits = make_hits(jonsson, 1.1, 2.3, n, 71)
+        ctx = _LikelihoodContext(hits.positions, jonsson, DEFAULT_WINDOW)
+        mesh_t, mesh_p = (m.ravel() for m in np.meshgrid(thetas, phis, indexing="ij"))
+        assert np.array_equal(ctx.loglik_cells(mesh_t, mesh_p),
+                              _per_cell(ctx, mesh_t, mesh_p))
+
+
+def test_loglik_cells_zero_and_negative_density_read_minus_inf():
+    # hit 0 has zero density at phi = pi, hit 1 a negative one wherever
+    # sin(phi) cos(theta) < -1/2, hit 2 is positive everywhere
+    ctx = object.__new__(_LikelihoodContext)
+    ctx.norm_a, ctx.norm_b, ctx.norm_c = 1.0, 0.2, 0.1
+    ctx.hit_a = np.array([1.0, 1.0, 2.0])
+    ctx.hit_b = np.array([1.0, 0.0, 0.5])
+    ctx.hit_c = np.array([0.0, 2.0, 0.5])
+    ctx.n = 3
+    thetas, phis = (m.ravel() for m in np.meshgrid(
+        [0.0, 1.0, 2.5, np.pi], [0.0, 1.0, np.pi / 2, 2.5, np.pi], indexing="ij"))
+    density = (ctx.hit_a + np.cos(phis)[:, None] * ctx.hit_b
+               + (np.sin(phis) * np.cos(thetas))[:, None] * ctx.hit_c)
+    zero, negative = (density == 0.0).any(axis=1), (density < 0.0).any(axis=1)
+    assert zero.any() and negative.any()
+    cells = ctx.loglik_cells(thetas, phis)
+    assert np.array_equal(np.isneginf(cells), zero | negative)
+    assert np.array_equal(cells, _per_cell(ctx, thetas, phis))
+
+
+def test_loglik_cells_on_empty_context(jonsson):
+    hits = make_hits(jonsson, 1.0, 1.0, 10, 3)
+    ctx = _LikelihoodContext(hits.positions, jonsson, DEFAULT_WINDOW).prefix(0)
+    assert ctx.loglik(0.1, 0.2) == 0.0
+    assert np.array_equal(ctx.loglik_cells([0.1], [0.2]), [0.0])
