@@ -22,7 +22,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import DomainError
-from .inference import DEFAULT_SCAN_POINTS, fit_mle
+from .inference import DEFAULT_SURFACE_POINTS, fit_mle
 from .inference import discriminate as run_discriminate
 from .io import (
     MODEL_KEYS,
@@ -61,24 +61,10 @@ _DEFAULTS = {
     "param_points": 256,
     "n_hits": 10000,
     "seed": 0,
-    "theta_points": DEFAULT_SCAN_POINTS,
-    "phi_points": DEFAULT_SCAN_POINTS,
-    "scan_points": None,   # accepted for compatibility; no effect
-    "workers": None,       # accepted for compatibility; no effect
+    "theta_points": DEFAULT_SURFACE_POINTS,
+    "phi_points": DEFAULT_SURFACE_POINTS,
 }
-_INT_KEYS = frozenset(
-    {
-        "grid_points",
-        "screen_points",
-        "param_points",
-        "n_hits",
-        "seed",
-        "theta_points",
-        "phi_points",
-        "scan_points",
-        "workers",
-    }
-)
+_INT_KEYS = frozenset(k for k, v in _DEFAULTS.items() if type(v) is int)
 _STRIPE_ROWS = 64   # pattern heatmaps repeat the single density row this often
 
 
@@ -141,8 +127,6 @@ def _merge(config_path, overrides) -> RunConfig:
             explicit.add(key)
     for key in _INT_KEYS:
         value = values[key]
-        if value is None:   # scan_points or workers left unset
-            continue
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise DomainError(f"config key '{key}' must be an integer")
         if isinstance(value, float):
@@ -155,9 +139,6 @@ def _merge(config_path, overrides) -> RunConfig:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise DomainError(f"config key '{key}' must be a number")
         values[key] = float(value)
-    for key in ("workers", "scan_points"):
-        if values[key] is not None and values[key] < 1:
-            raise DomainError(f"config key '{key}' must be at least 1")
     return RunConfig(values=values, explicit=frozenset(explicit))
 
 
@@ -199,13 +180,6 @@ _CONFIG_OPTIONS = [
         default=None,
         help="Density-grid resolution for sampling and likelihoods.",
     ),
-    click.option(
-        "--workers",
-        type=int,
-        default=None,
-        envvar="ABFLUX_WORKERS",
-        help="Accepted for compatibility; no effect (env: ABFLUX_WORKERS).",
-    ),
 ]
 _FLUX_OPTIONS = [
     click.option("--theta", type=float, default=None,
@@ -235,23 +209,12 @@ _PARAM_OPTION = click.option(
     default=None,
     help="Number of parameter values per figure panel.",
 )
-
-
-def _infer_options(theta_help, phi_help):
-    return [
-        click.option("--theta-points", "theta_points", type=int, default=None,
-                     help=theta_help),
-        click.option("--phi-points", "phi_points", type=int, default=None,
-                     help=phi_help),
-        click.option("--scan-points", "scan_points", type=int, default=None,
-                     help="Accepted for compatibility; no effect."),
-        click.option(
-            "--allow-mismatch",
-            is_flag=True,
-            help="Analyze under the configured model even if the hits file "
-            "provenance disagrees with it.",
-        ),
-    ]
+_MISMATCH_OPTION = click.option(
+    "--allow-mismatch",
+    is_flag=True,
+    help="Analyze under the configured model even if the hits file "
+    "provenance disagrees with it.",
+)
 
 
 @click.group()
@@ -395,11 +358,24 @@ def _load_hits(path, run, allow_mismatch):
     return hits, hits.geometry, hits.config.window
 
 
+def _analysis_comments(command, hits_file, geometry, window, run):
+    return (
+        [("command", command), ("input", str(hits_file))]
+        + geometry_comments(geometry)
+        + window_comments(window)
+        + [("grid_points", format_number(run["grid_points"]))]
+    )
+
+
 @cli.command()
 @click.argument("hits_file")
-@_add_options(_CONFIG_OPTIONS + _infer_options(
-    "Theta resolution of the likelihood surface.",
-    "Phi resolution of the likelihood surface."))
+@_add_options(_CONFIG_OPTIONS + [
+    click.option("--theta-points", "theta_points", type=int, default=None,
+                 help="Theta resolution of the likelihood surface."),
+    click.option("--phi-points", "phi_points", type=int, default=None,
+                 help="Phi resolution of the likelihood surface."),
+    _MISMATCH_OPTION,
+])
 @click.option("--out", "out_path", default="surface.csv", show_default=True,
               help="Output CSV path for the likelihood surface.")
 def infer(hits_file, out_path, allow_mismatch, **kwargs):
@@ -411,12 +387,7 @@ def infer(hits_file, out_path, allow_mismatch, **kwargs):
         theta_points=run["theta_points"], phi_points=run["phi_points"],
         grid_points=run["grid_points"],
     )
-    comments = (
-        [("command", "infer"), ("input", str(hits_file))]
-        + geometry_comments(geometry)
-        + window_comments(window)
-        + [("grid_points", format_number(run["grid_points"]))]
-    )
+    comments = _analysis_comments("infer", hits_file, geometry, window, run)
     write_surface_csv(out_path, surface, comments)
     _echo_wrote(out_path)
     click.echo(
@@ -428,25 +399,16 @@ def infer(hits_file, out_path, allow_mismatch, **kwargs):
 
 @cli.command()
 @click.argument("hits_file")
-@_add_options(_CONFIG_OPTIONS + _infer_options(
-    "Accepted for compatibility; no effect.",
-    "Validated (at least 2); no effect."))
+@_add_options(_CONFIG_OPTIONS + [_MISMATCH_OPTION])
 @click.option("--out", "out_path", default="discriminate.csv", show_default=True,
               help="Output CSV path for the comparison row.")
 def discriminate(hits_file, out_path, allow_mismatch, **kwargs):
     """Superposition-vs-definite-flux likelihood comparison for a hits file."""
     run = _merge(kwargs.pop("config_path"), kwargs)
     hits, geometry, window = _load_hits(hits_file, run, allow_mismatch)
-    result = run_discriminate(
-        hits, geometry=geometry, window=window,
-        phi_points=run["phi_points"], grid_points=run["grid_points"],
-    )
-    comments = (
-        [("command", "discriminate"), ("input", str(hits_file))]
-        + geometry_comments(geometry)
-        + window_comments(window)
-        + [("grid_points", format_number(run["grid_points"]))]
-    )
+    result = run_discriminate(hits, geometry=geometry, window=window,
+                              grid_points=run["grid_points"])
+    comments = _analysis_comments("discriminate", hits_file, geometry, window, run)
     write_hypothesis_csv(out_path, result, comments)
     _echo_wrote(out_path)
     click.echo(

@@ -38,9 +38,9 @@ import numpy as np
 from .errors import DomainError
 from .pattern import pattern_components
 from .sampling import DEFAULT_GRID_POINTS, HitSet
-from .slits import ApertureGeometry
+from .slits import ApertureGeometry, _checked_window
 
-DEFAULT_SCAN_POINTS = 181
+DEFAULT_SURFACE_POINTS = 181
 _GAP_NATS = 1e-9            # certified distance of the circle fit below its maximum
 _ARCS = 16                  # initial arcs of the circle's branch and bound
 _NEWTON_STEPS = 50          # fits with an interior maximum take at most ~10
@@ -149,9 +149,7 @@ class _LikelihoodContext:
         positions = np.asarray(positions, dtype=float)
         if positions.ndim != 1:
             raise DomainError("hit positions must be a 1-D array")
-        x_min, x_max = (float(v) for v in window)
-        if not (np.isfinite(x_min) and np.isfinite(x_max) and x_min < x_max):
-            raise DomainError(f"window must satisfy x_min < x_max, got {window!r}")
+        x_min, x_max = _checked_window(window)
         if positions.size and not (
             np.all(positions >= x_min) and np.all(positions <= x_max)
         ):
@@ -378,14 +376,14 @@ def _check_points(**points):
             raise DomainError(f"{name} must be at least 2, got {value!r}")
 
 
-def fit_mle(hits, geometry=None, window=None, theta_points=DEFAULT_SCAN_POINTS,
-            phi_points=DEFAULT_SCAN_POINTS, grid_points=DEFAULT_GRID_POINTS):
+def fit_mle(hits, geometry=None, window=None, theta_points=DEFAULT_SURFACE_POINTS,
+            phi_points=DEFAULT_SURFACE_POINTS, grid_points=DEFAULT_GRID_POINTS):
     """Maximum-likelihood (theta, phi) from a hit set.
 
     The estimate is the likelihood maximum over the (c, s) disk, the same
-    solve as :func:`discriminate`.  The ``theta_points`` x ``phi_points``
-    surface over [0, pi] x [0, pi] is an output only, the one use of both
-    sizes; no cell of it exceeds the maximum.
+    solve as :func:`discriminate`.  The returned ``theta_points`` x
+    ``phi_points`` surface over [0, pi] x [0, pi] is an output only; no
+    cell of it exceeds the maximum.
 
     Returns a :class:`LikelihoodSurface`; ``theta_flat`` is set when the
     fit cannot reject the zero-phase family (phi = 0 or phi = pi, inside
@@ -411,20 +409,17 @@ def fit_mle(hits, geometry=None, window=None, theta_points=DEFAULT_SCAN_POINTS,
     )
 
 
-def discriminate(hits, geometry=None, window=None, scan_points=None,
-                 phi_points=DEFAULT_SCAN_POINTS, grid_points=DEFAULT_GRID_POINTS):
+def discriminate(hits, geometry=None, window=None, grid_points=DEFAULT_GRID_POINTS):
     """Superposition-vs-definite-flux likelihood comparison.
 
     Maximizes the log-likelihood over the superposition family, the (c, s)
     disk, and over the definite-flux family, its boundary circle (theta 0
     or pi, phi free), and reports both maxima and their difference
-    llr >= 0.  ``phi_points`` is validated but, like ``scan_points``, has
-    no effect.
+    llr >= 0.
     """
     positions, geometry, window = _resolve_inputs(hits, geometry, window)
     if positions.size == 0:
         raise DomainError("cannot discriminate on an empty hit set")
-    _check_points(phi_points=phi_points)
     ctx = _LikelihoodContext(positions, geometry, window, grid_points)
     return _discriminate_ctx(ctx)
 
@@ -454,15 +449,13 @@ def _discriminate_ctx(ctx):
 
 
 def sequential_trace(hits, geometry=None, window=None, checkpoint_schedule=(),
-                     theta_points=DEFAULT_SCAN_POINTS, phi_points=DEFAULT_SCAN_POINTS,
-                     scan_points=None, grid_points=DEFAULT_GRID_POINTS) -> SequentialTrace:
+                     grid_points=DEFAULT_GRID_POINTS) -> SequentialTrace:
     """Fit and discriminate on growing hit prefixes.
 
     ``checkpoint_schedule`` is a strictly increasing sequence of prefix
     lengths, each at most the number of hits.  The pattern components are
     computed once for the full set and sliced per checkpoint, each of which
-    is one :func:`discriminate` solve.  ``theta_points`` and ``phi_points``
-    are validated but, like ``scan_points``, have no effect.
+    is one :func:`discriminate` solve.
     """
     positions, geometry, window = _resolve_inputs(hits, geometry, window)
     schedule = [int(n) for n in checkpoint_schedule]
@@ -474,7 +467,6 @@ def sequential_trace(hits, geometry=None, window=None, checkpoint_schedule=(),
         raise DomainError(
             f"schedule reaches {schedule[-1]} hits but only {positions.size} are available"
         )
-    _check_points(theta_points=theta_points, phi_points=phi_points)
     ctx = _LikelihoodContext(positions, geometry, window, grid_points)
     checkpoints = []
     for n in schedule:

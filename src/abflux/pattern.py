@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .slits import ApertureGeometry, slit_amplitude_pair
+from .slits import ApertureGeometry, _checked_window, slit_amplitude_pair
 
 # gaussian-unit constants used only by flux_parameter
 HBAR_CGS = 1.054571817e-27       # erg s
@@ -102,8 +102,7 @@ class ScreenGrid:
 
     @classmethod
     def uniform(cls, x_min, x_max, n) -> "ScreenGrid":
-        if not (np.isfinite(x_min) and np.isfinite(x_max) and x_min < x_max):
-            raise DomainError(f"invalid window [{x_min!r}, {x_max!r}]")
+        x_min, x_max = _checked_window((x_min, x_max))
         if n < 1:
             raise DomainError("grid needs at least one point")
         return cls(np.linspace(x_min, x_max, int(n)))

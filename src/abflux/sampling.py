@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateDistributionError, DomainError
 from .pattern import FluxState, density
-from .slits import DEFAULT_WINDOW, ApertureGeometry
+from .slits import DEFAULT_WINDOW, ApertureGeometry, _checked_window
 
 DEFAULT_GRID_POINTS = 8192
 
@@ -39,10 +39,7 @@ class SampleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        x_min, x_max = (float(v) for v in self.window)
-        if not (np.isfinite(x_min) and np.isfinite(x_max) and x_min < x_max):
-            raise DomainError(f"window must satisfy x_min < x_max, got {self.window!r}")
-        object.__setattr__(self, "window", (x_min, x_max))
+        object.__setattr__(self, "window", _checked_window(self.window))
         if int(self.grid_points) < 2:
             raise DomainError("grid_points must be at least 2")
         object.__setattr__(self, "grid_points", int(self.grid_points))
@@ -127,9 +124,7 @@ def normalized_pdf_cdf(geometry, flux, window, grid_points=DEFAULT_GRID_POINTS):
     Raises :class:`DegenerateDistributionError` if the density integrates
     to zero over the window.
     """
-    x_min, x_max = (float(v) for v in window)
-    if not (np.isfinite(x_min) and np.isfinite(x_max) and x_min < x_max):
-        raise DomainError(f"window must satisfy x_min < x_max, got {window!r}")
+    x_min, x_max = _checked_window(window)
     if int(grid_points) < 2:
         raise DomainError("grid_points must be at least 2")
     positions = np.linspace(x_min, x_max, int(grid_points))

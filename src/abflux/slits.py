@@ -38,6 +38,14 @@ PLANCK_CONSTANT = 6.62607015e-34
 DEFAULT_WINDOW = (-2.0e-5, 2.0e-5)
 
 
+def _checked_window(window):
+    """A screen window as floats (x_min, x_max), both finite, x_min < x_max."""
+    x_min, x_max = (float(v) for v in window)
+    if not (np.isfinite(x_min) and np.isfinite(x_max) and x_min < x_max):
+        raise DomainError(f"window must satisfy x_min < x_max, got {window!r}")
+    return x_min, x_max
+
+
 @dataclass(frozen=True)
 class ApertureGeometry:
     """Source / slit / screen layout, SI meters.

@@ -135,19 +135,9 @@ def test_simulate_deterministic_and_worker_invariant(tmp_path):
     paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
     run_ok(base + ["--out", str(paths[0])])
     run_ok(base + ["--out", str(paths[1])])
-    run_ok(base + ["--out", str(paths[2]), "--workers", "3"])
+    run_ok(base + ["--out", str(paths[2])])
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]
-
-
-def test_simulate_workers_env_var(tmp_path, monkeypatch):
-    base = ["simulate", "--n-hits", "1000", "--seed", "3"]
-    plain = tmp_path / "plain.csv"
-    via_env = tmp_path / "env.csv"
-    run_ok(base + ["--out", str(plain), "--workers", "1"])
-    monkeypatch.setenv("ABFLUX_WORKERS", "4")
-    run_ok(base + ["--out", str(via_env)])
-    assert plain.read_bytes() == via_env.read_bytes()
 
 
 def test_hits_file_regenerates_exactly(tmp_path):
@@ -190,8 +180,7 @@ def test_discriminate_cli(tmp_path, capsys):
     out = tmp_path / "disc.csv"
     run_ok(["simulate", "--out", str(hits), "--theta", HALF_PI, "--phi",
             HALF_PI, "--n-hits", "1500", "--seed", "3"])
-    run_ok(["discriminate", str(hits), "--out", str(out),
-            "--scan-points", "31", "--phi-points", "61"])
+    run_ok(["discriminate", str(hits), "--out", str(out)])
     summary = capsys.readouterr().out
     assert "n_hits=1500" in summary
     comments, header, data = read_csv(out)
@@ -262,8 +251,8 @@ def test_sweep_grid_and_worker_invariance(tmp_path):
         d.mkdir()
     args = ["sweep", "--thetas", "0," + HALF_PI, "--phis", "0.5,2.5",
             "--screen-points", "40"]
-    run_ok(args + ["--out-dir", str(dirs[0]), "--workers", "1"])
-    run_ok(args + ["--out-dir", str(dirs[1]), "--workers", "3"])
+    run_ok(args + ["--out-dir", str(dirs[0])])
+    run_ok(args + ["--out-dir", str(dirs[1])])
     names = sorted(p.name for p in dirs[0].glob("*.csv"))
     assert len(names) == 4
     for name in names:
@@ -298,16 +287,6 @@ def test_config_validation_failures(tmp_path, capsys):
     bad_type.write_text(json.dumps({"screen_points": 64.5}))
     assert main(["pattern", "--config", str(bad_type)]) == 2
 
-    bad_workers = tmp_path / "bad_workers.json"
-    bad_workers.write_text(json.dumps({"workers": 0}))
-    assert main(["pattern", "--config", str(bad_workers)]) == 2
-    # the JSON number 1e400 parses as inf
-    for text in ('{"workers": 1e400}', '{"workers": 2.5}', '{"workers": "3"}',
-                 '{"workers": true}'):
-        bad_workers.write_text(text)
-        assert main(["pattern", "--config", str(bad_workers)]) == 2
-        assert "'workers' must be an integer" in capsys.readouterr().err
-
 
 def test_exit_codes(tmp_path, capsys):
     assert main([]) == 1
@@ -333,7 +312,7 @@ def test_version_and_help(capsys):
 
 
 def test_points_help_per_command(capsys):
-    # only infer writes a surface; discriminate checks phi_points and ignores both
+    # only infer writes a surface, so only infer takes its sizes
     assert main(["infer", "--help"]) == 0
     text = " ".join(capsys.readouterr().out.split())
     assert "--theta-points INTEGER Theta resolution of the likelihood surface." in text
@@ -341,34 +320,34 @@ def test_points_help_per_command(capsys):
     assert main(["discriminate", "--help"]) == 0
     text = " ".join(capsys.readouterr().out.split())
     assert "likelihood surface" not in text
-    assert "--theta-points INTEGER Accepted for compatibility; no effect." in text
-    assert "--phi-points INTEGER Validated (at least 2); no effect." in text
+    for flag in ("--theta-points", "--phi-points", "--scan-points"):
+        assert flag not in text
 
 
 def test_scan_sizes_below_two_exit_2(tmp_path, capsys):
     hits = tmp_path / "hits.csv"
     run_ok(["simulate", "--out", str(hits), "--n-hits", "200", "--seed", "2"])
     out = str(tmp_path / "out.csv")
-    assert main(["discriminate", str(hits), "--phi-points", "1", "--out", out]) == 2
     assert main(["infer", str(hits), "--theta-points", "0", "--out", out]) == 2
     assert main(["infer", str(hits), "--theta-points", "-3", "--out", out]) == 2
     assert main(["infer", str(hits), "--phi-points", "1", "--out", out]) == 2
     assert "at least 2" in capsys.readouterr().err
 
 
-def test_scan_points_accepted_without_effect(tmp_path):
+def test_retired_inputs_rejected(tmp_path, capsys):
+    # flags and config keys that once had no effect are now unknown
     hits = tmp_path / "hits.csv"
-    run_ok(["simulate", "--out", str(hits), "--theta", HALF_PI, "--phi",
-            HALF_PI, "--n-hits", "1500", "--seed", "3"])
-    plain, scanned = tmp_path / "plain.csv", tmp_path / "scanned.csv"
-    run_ok(["discriminate", str(hits), "--phi-points", "61", "--out", str(plain)])
-    run_ok(["discriminate", str(hits), "--phi-points", "61", "--scan-points", "7",
-            "--out", str(scanned)])
-    assert plain.read_bytes() == scanned.read_bytes()
-    comments, _, _ = read_csv(plain)
-    assert "scan_points" not in comments
-    for bad in (0, 2.5, "31"):
-        config = tmp_path / "bad_scan.json"
-        config.write_text(json.dumps({"scan_points": bad}))
+    run_ok(["simulate", "--out", str(hits), "--n-hits", "200", "--seed", "2"])
+    out = str(tmp_path / "out.csv")
+    for flag in ("--theta-points", "--phi-points", "--scan-points"):
+        assert main(["discriminate", str(hits), flag, "3", "--out", out]) == 1
+    assert main(["infer", str(hits), "--scan-points", "3", "--out", out]) == 1
+    assert main(["simulate", "--workers", "2", "--out", str(hits)]) == 1
+    capsys.readouterr()
+    config = tmp_path / "retired.json"
+    for doc in ({"workers": 1}, {"scan_points": 31}):
+        config.write_text(json.dumps(doc))
         assert main(["discriminate", str(hits), "--config", str(config),
-                     "--out", str(plain)]) == 2
+                     "--out", out]) == 2
+        (key,) = doc
+        assert f"unknown config keys: {key}" in capsys.readouterr().err

@@ -191,27 +191,27 @@ def test_nesting_llr_nonnegative(jonsson):
         (1.0, 0.0, 400),
     ]
     for theta, phi, seed in cases:
-        result = discriminate(make_hits(jonsson, theta, phi, 5000, seed), scan_points=31)
+        result = discriminate(make_hits(jonsson, theta, phi, 5000, seed))
         assert result.llr >= 0.0
         assert result.loglik_superposition >= result.loglik_definite
         assert result.n_hits == 5000
 
 
 def test_llr_small_for_definite_up_data(jonsson):
-    result = discriminate(make_hits(jonsson, 0.0, np.pi / 2, 20000, 300), scan_points=61)
+    result = discriminate(make_hits(jonsson, 0.0, np.pi / 2, 20000, 300))
     assert result.llr <= 5.0
     assert result.definite_direction == "up"
     assert abs(result.definite_phi - np.pi / 2) <= 0.05
 
 
 def test_llr_small_for_zero_phase_data(jonsson):
-    result = discriminate(make_hits(jonsson, 1.0, 0.0, 20000, 400), scan_points=61)
+    result = discriminate(make_hits(jonsson, 1.0, 0.0, 20000, 400))
     assert result.llr <= 5.0
 
 
 def test_llr_grows_with_sample_size(jonsson):
-    small = discriminate(make_hits(jonsson, np.pi / 2, np.pi / 2, 1000, 200), scan_points=61)
-    large = discriminate(make_hits(jonsson, np.pi / 2, np.pi / 2, 10000, 200), scan_points=61)
+    small = discriminate(make_hits(jonsson, np.pi / 2, np.pi / 2, 1000, 200))
+    large = discriminate(make_hits(jonsson, np.pi / 2, np.pi / 2, 10000, 200))
     assert 0.0 < small.llr < large.llr
     # llr scales roughly linearly in n here; check the order of magnitude
     assert large.llr > 5.0 * small.llr
@@ -253,12 +253,9 @@ def test_schedule_validation(jonsson):
 
 def test_single_checkpoint_equals_full_fit(jonsson):
     hits = make_hits(jonsson, np.pi / 2, np.pi / 2, 3000, 20)
-    trace = sequential_trace(
-        hits, checkpoint_schedule=(3000,),
-        theta_points=31, phi_points=31, scan_points=31,
-    )
+    trace = sequential_trace(hits, checkpoint_schedule=(3000,))
     surface = fit_mle(hits, theta_points=31, phi_points=31)
-    result = discriminate(hits, scan_points=31, phi_points=31)
+    result = discriminate(hits)
     (checkpoint,) = trace.checkpoints
     assert checkpoint.n_hits == 3000
     assert checkpoint.theta_hat == surface.theta_hat
@@ -268,10 +265,7 @@ def test_single_checkpoint_equals_full_fit(jonsson):
 
 def test_checkpoints_reproducible_from_prefixes(jonsson):
     hits = make_hits(jonsson, np.pi / 2, np.pi / 2, 2500, 22)
-    trace = sequential_trace(
-        hits, checkpoint_schedule=(1000, 2500),
-        theta_points=31, phi_points=31, scan_points=31,
-    )
+    trace = sequential_trace(hits, checkpoint_schedule=(1000, 2500))
     prefix = fit_mle(
         hits.positions[:1000], geometry=jonsson, window=DEFAULT_WINDOW,
         theta_points=31, phi_points=31,
@@ -290,7 +284,6 @@ def test_spliced_stream_changes_llr_slope(jonsson):
     trace = sequential_trace(
         spliced, geometry=jonsson, window=DEFAULT_WINDOW,
         checkpoint_schedule=tuple(range(1500, 12001, 1500)),
-        theta_points=41, phi_points=41, scan_points=41,
     )
     before, after = segment_slopes(trace, 4)
     assert abs(before) <= 0.01
@@ -317,12 +310,6 @@ def test_scan_sizes_below_two_rejected(jonsson):
             fit_mle(hits, theta_points=points, phi_points=31)
         with pytest.raises(DomainError):
             fit_mle(hits, theta_points=31, phi_points=points)
-        with pytest.raises(DomainError):
-            discriminate(hits, phi_points=points)
-        with pytest.raises(DomainError):
-            sequential_trace(hits, checkpoint_schedule=(100,), theta_points=points)
-        with pytest.raises(DomainError):
-            sequential_trace(hits, checkpoint_schedule=(100,), phi_points=points)
 
 
 def test_few_hits_give_finite_fits(jonsson):
@@ -349,7 +336,7 @@ def test_fit_and_discriminate_share_one_maximum(jonsson):
                              (2.6, 0.7, 51)):
         hits = make_hits(jonsson, theta, phi, 4000, seed)
         surface = fit_mle(hits, theta_points=21, phi_points=45)
-        result = discriminate(hits, phi_points=45)
+        result = discriminate(hits)
         assert surface.theta_hat == result.theta_hat
         assert surface.phi_hat == result.phi_hat
         assert surface.loglik_max == result.loglik_superposition
@@ -384,8 +371,8 @@ def test_discriminate_scans_no_grid(jonsson, monkeypatch):
 
     monkeypatch.setattr(_LikelihoodContext, "loglik_cells", counted)
     hits = make_hits(jonsson, np.pi / 2, np.pi / 2, 2000, 53)
-    discriminate(hits, phi_points=61)
-    sequential_trace(hits, checkpoint_schedule=(1000, 2000), phi_points=61)
+    discriminate(hits)
+    sequential_trace(hits, checkpoint_schedule=(1000, 2000))
     assert sizes == []
 
 

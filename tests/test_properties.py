@@ -29,13 +29,11 @@ def test_maximum_dominates_surface_and_truth(jonsson, theta, phi, n, seed):
     assert surface.loglik_max >= np.max(surface.loglik) - slack
     assert surface.loglik_max >= log_likelihood(hits, theta=theta, phi=phi) - slack
 
-    coarse = discriminate(hits, scan_points=31, phi_points=31)
-    assert coarse.llr >= 0.0
-    assert coarse == discriminate(hits, scan_points=91, phi_points=31)
-    assert coarse == discriminate(hits, phi_points=181)
+    result = discriminate(hits)
+    assert result.llr >= 0.0
     ctx = _LikelihoodContext(hits.positions, jonsson, DEFAULT_WINDOW)
     alphas = np.linspace(-np.pi, np.pi, 4096, endpoint=False)
     circle = ctx.loglik_cells(np.where(alphas >= 0.0, 0.0, np.pi), np.abs(alphas))
-    assert coarse.loglik_definite >= np.max(circle) - slack
-    assert (coarse.theta_hat, coarse.phi_hat, coarse.loglik_superposition) == (
+    assert result.loglik_definite >= np.max(circle) - slack
+    assert (result.theta_hat, result.phi_hat, result.loglik_superposition) == (
         surface.theta_hat, surface.phi_hat, surface.loglik_max)
