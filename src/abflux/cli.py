@@ -442,22 +442,31 @@ def sweep(thetas_text, phis_text, out_dir, **kwargs):
     run = _merge(kwargs.pop("config_path"), kwargs)
     thetas = _parse_angle_list(thetas_text, "thetas")
     phis = _parse_angle_list(phis_text, "phis")
+    # every file name is settled before the first is written, so a value
+    # pair that would overwrite another's file stops the run with nothing lost
+    points = {}
+    for theta in thetas:
+        for phi in phis:
+            name = f"sweep_theta_{theta:.6g}_phi_{phi:.6g}.csv"
+            if name in points:
+                other = points[name]
+                raise DomainError(
+                    f"sweep points (theta={other.theta!r}, phi={other.phi!r}) and "
+                    f"(theta={theta!r}, phi={phi!r}) would both write {name}"
+                )
+            points[name] = FluxState(theta=theta, phi=phi, omega=run["omega"])
     geometry = run.geometry()
     screen = ScreenGrid.uniform(*run.window(), run["screen_points"])
     components = pattern_components(geometry, screen.positions)
-    for theta in thetas:
-        for phi in phis:
-            flux = FluxState(theta=theta, phi=phi, omega=run["omega"])
-            grid = DensityGrid(
-                positions=screen.positions,
-                values=combine_components(components, theta, phi),
-                geometry=geometry, flux=flux,
-            )
-            path = os.path.join(
-                out_dir, f"sweep_theta_{theta:.6g}_phi_{phi:.6g}.csv"
-            )
-            write_pattern_csv(path, grid, flux, [("command", "sweep")])
-            _echo_wrote(path)
+    for name, flux in points.items():
+        grid = DensityGrid(
+            positions=screen.positions,
+            values=combine_components(components, flux.theta, flux.phi),
+            geometry=geometry, flux=flux,
+        )
+        path = os.path.join(out_dir, name)
+        write_pattern_csv(path, grid, flux, [("command", "sweep")])
+        _echo_wrote(path)
 
 
 def main(argv=None) -> int:

@@ -14,7 +14,9 @@ convergence test and no Lentz iteration.  Two branches are used:
 Truncation in both stays far below this module's 1e-12 absolute budget;
 near the cutoff the series' rounding error, ~5e-13, dominates.  Negative
 arguments are mapped to positive ones and the result negated, so E is odd
-exactly, and each value depends only on its own argument.
+exactly.  Each value depends only on its own argument, bit for bit,
+whatever the number of arguments in the call (see the operand order in
+``_continued_fraction``).
 """
 
 from __future__ import annotations
@@ -93,7 +95,11 @@ def _continued_fraction(z):
         f = (b + 4.0 * (k - 1)) + (-2.0 * k * (2.0 * k - 1.0)) / f
     del b   # the arrays alive below stay within the loop's peak memory
     phase = np.exp(0.5j * np.pi * turns)
-    return (0.5 + 0.5j) * (1.0 - phase * ((1.0 - 1j) * z / f))
+    # The temporary goes on the left: numpy turns `phase * temporary` into
+    # `temporary *= phase` from 256 KiB on, and complex multiply is not
+    # bitwise commutative, so the other order would make values depend on
+    # how many arguments share the call.
+    return (0.5 + 0.5j) * (1.0 - ((1.0 - 1j) * z / f) * phase)
 
 
 def _square_mod4(z):

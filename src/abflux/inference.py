@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import DomainError
 from .pattern import pattern_components
-from .sampling import DEFAULT_GRID_POINTS, HitSet
-from .slits import ApertureGeometry, _checked_window
+from .sampling import DEFAULT_GRID_POINTS, HitSet, _window_grid
+from .slits import ApertureGeometry
 
 DEFAULT_SURFACE_POINTS = 181
 _GAP_NATS = 1e-9            # certified distance of the circle fit below its maximum
@@ -149,12 +149,11 @@ class _LikelihoodContext:
         positions = np.asarray(positions, dtype=float)
         if positions.ndim != 1:
             raise DomainError("hit positions must be a 1-D array")
-        x_min, x_max = _checked_window(window)
+        grid = _window_grid(window, grid_points)
         if positions.size and not (
-            np.all(positions >= x_min) and np.all(positions <= x_max)
+            np.all(positions >= grid[0]) and np.all(positions <= grid[-1])
         ):
             raise DomainError("hits must lie inside the likelihood window")
-        grid = np.linspace(x_min, x_max, int(grid_points))
         grid_a, grid_b, grid_c = pattern_components(geometry, grid)
         self.norm_a = float(np.trapezoid(grid_a, grid))
         self.norm_b = float(np.trapezoid(grid_b, grid))

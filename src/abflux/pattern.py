@@ -35,7 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .slits import ApertureGeometry, _checked_window, slit_amplitude_pair
+from .slits import (
+    ApertureGeometry,
+    _checked_window,
+    _validate_positions,
+    slit_amplitude_pair,
+)
 
 # gaussian-unit constants used only by flux_parameter
 HBAR_CGS = 1.054571817e-27       # erg s
@@ -44,6 +49,11 @@ SPEED_OF_LIGHT_CGS = 2.99792458e10   # cm / s
 # negative density values above this (relative to the peak) are treated as
 # rounding residue of the cancellation near fringe minima
 _NEGATIVE_TOLERANCE = 1e-12
+
+# Screen positions per block of pattern_components: 8192 Fresnel arguments,
+# so each complex temporary is 128 KiB and a block's work stays in a 2 MiB
+# L2 cache.
+_POSITION_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -142,17 +152,27 @@ def pattern_components(geometry: ApertureGeometry, x):
     A = |psi+|^2 + |psi-|^2, B = 2 Re(psi+* psi-), C = -2 Im(psi+* psi-).
     Every density in this module is A + B cos(phi) + C sin(phi) * w with a
     weight w in [-1, 1].
+
+    Positions go through the slit amplitudes and A, B, C in blocks of
+    ``_POSITION_BLOCK``, each written into one preallocated (3, n) array
+    whose rows are returned.  Beyond that output, memory stays at one
+    block's temporaries whatever the number of positions, and each value
+    depends only on its own position.
     """
-    psi_plus, psi_minus = slit_amplitude_pair(geometry, x)
-    # Spelled out in real arithmetic rather than complex products: numpy's
-    # complex multiply may contract to FMA, which breaks the exact mirror
-    # symmetry (A, B even and C odd under x -> -x) at the last bit.
-    re_p, im_p = psi_plus.real, psi_plus.imag
-    re_m, im_m = psi_minus.real, psi_minus.imag
-    a = (re_p * re_p + im_p * im_p) + (re_m * re_m + im_m * im_m)
-    b = 2.0 * (re_p * re_m + im_p * im_m)
-    c = -2.0 * (re_p * im_m - im_p * re_m)
-    return a, b, c
+    x = _validate_positions(x)
+    out = np.empty((3, x.size))
+    for start in range(0, x.size, _POSITION_BLOCK):
+        block = slice(start, start + _POSITION_BLOCK)
+        psi_plus, psi_minus = slit_amplitude_pair(geometry, x[block])
+        # Spelled out in real arithmetic rather than complex products: numpy's
+        # complex multiply may contract to FMA, which breaks the exact mirror
+        # symmetry (A, B even and C odd under x -> -x) at the last bit.
+        re_p, im_p = psi_plus.real, psi_plus.imag
+        re_m, im_m = psi_minus.real, psi_minus.imag
+        out[0, block] = (re_p * re_p + im_p * im_p) + (re_m * re_m + im_m * im_m)
+        out[1, block] = 2.0 * (re_p * re_m + im_p * im_m)
+        out[2, block] = -2.0 * (re_p * im_m - im_p * re_m)
+    return out[0], out[1], out[2]
 
 
 def _as_positions(x):

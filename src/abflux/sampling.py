@@ -124,11 +124,17 @@ def normalized_pdf_cdf(geometry, flux, window, grid_points=DEFAULT_GRID_POINTS):
     Raises :class:`DegenerateDistributionError` if the density integrates
     to zero over the window.
     """
+    positions = _window_grid(window, grid_points)
+    return _distribution_from_values(positions, density(geometry, flux, positions))
+
+
+def _window_grid(window, grid_points):
+    """``grid_points`` (at least 2) evenly spaced positions spanning the
+    window, both ends included exactly."""
     x_min, x_max = _checked_window(window)
     if int(grid_points) < 2:
         raise DomainError("grid_points must be at least 2")
-    positions = np.linspace(x_min, x_max, int(grid_points))
-    return _distribution_from_values(positions, density(geometry, flux, positions))
+    return np.linspace(x_min, x_max, int(grid_points))
 
 
 def uniform_variates(seed, start, stop):

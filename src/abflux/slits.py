@@ -174,9 +174,13 @@ def slit_amplitude_pair(geometry: ApertureGeometry, x, with_common_phase=True):
     if with_common_phase:
         phase = np.exp(1j * np.pi * x * x / (geometry.wavelength * (big_l + l)))
         prefactor = prefactor * phase
-    psi_plus = prefactor * (ei[0] - ei[1])
-    psi_minus = prefactor * (ei[2] - ei[3])
-    return psi_plus, psi_minus
+    # Named, the differences are not temporaries numpy could multiply in
+    # place as `difference *= prefactor`, which swaps the operands of a
+    # complex multiply that is not bitwise commutative; so each amplitude
+    # is the same whatever the batch size.
+    plus_edges = ei[0] - ei[1]
+    minus_edges = ei[2] - ei[3]
+    return prefactor * plus_edges, prefactor * minus_edges
 
 
 def slit_amplitude(geometry: ApertureGeometry, slit, x, with_common_phase=True):

@@ -334,6 +334,27 @@ def test_scan_sizes_below_two_exit_2(tmp_path, capsys):
     assert "at least 2" in capsys.readouterr().err
 
 
+def test_grid_points_below_two_exit_2(tmp_path, capsys):
+    hits = tmp_path / "hits.csv"
+    run_ok(["simulate", "--out", str(hits), "--n-hits", "200", "--seed", "2"])
+    out = str(tmp_path / "out.csv")
+    for command in ("infer", "discriminate"):
+        for points in ("1", "0"):
+            assert main([command, str(hits), "--grid-points", points,
+                         "--out", out]) == 2
+            assert "grid_points must be at least 2" in capsys.readouterr().err
+
+
+def test_sweep_rejects_colliding_file_names(tmp_path, capsys):
+    # both thetas print as 1 at six significant digits
+    assert main(["sweep", "--out-dir", str(tmp_path),
+                 "--thetas", "1.0,1.0000001", "--phis", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert "theta=1.0," in err and "theta=1.0000001," in err
+    assert "sweep_theta_1_phi_0.5.csv" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_retired_inputs_rejected(tmp_path, capsys):
     # flags and config keys that once had no effect are now unknown
     hits = tmp_path / "hits.csv"

@@ -312,6 +312,22 @@ def test_scan_sizes_below_two_rejected(jonsson):
             fit_mle(hits, theta_points=31, phi_points=points)
 
 
+def test_grid_points_below_two_rejected(jonsson):
+    # the normalization grid spans the window, so it needs both ends
+    hits = make_hits(jonsson, np.pi / 2, np.pi / 2, 100, 31)
+    calls = (
+        lambda points: log_likelihood(hits, theta=1.0, phi=1.0, grid_points=points),
+        lambda points: fit_mle(hits, theta_points=3, phi_points=3, grid_points=points),
+        lambda points: discriminate(hits, grid_points=points),
+        lambda points: sequential_trace(hits, checkpoint_schedule=(50, 100),
+                                        grid_points=points),
+    )
+    for call in calls:
+        for points in (1, 0):
+            with pytest.raises(DomainError, match="grid_points must be at least 2"):
+                call(points)
+
+
 def test_few_hits_give_finite_fits(jonsson):
     # one and two hits leave no interior maximum (a singular Hessian, or a
     # likelihood unbounded off the disk), so the boundary circle answers;

@@ -18,7 +18,8 @@ from abflux import (
     mixture_density,
     pattern_components,
 )
-from abflux.pattern import HBAR_CGS, SPEED_OF_LIGHT_CGS
+from abflux import pattern as pattern_module
+from abflux.pattern import _POSITION_BLOCK, HBAR_CGS, SPEED_OF_LIGHT_CGS
 from conftest import symmetric_grid
 
 THETAS = np.linspace(0.0, np.pi, 7)
@@ -146,6 +147,46 @@ def test_components_parity(jonsson):
     assert np.array_equal(comp_a, comp_a[::-1])
     assert np.array_equal(comp_b, comp_b[::-1])
     assert np.array_equal(comp_c, -comp_c[::-1])
+
+
+def _same_components(left, right):
+    return all(np.array_equal(a, b) for a, b in zip(left, right))
+
+
+def test_components_of_a_position_independent_of_batch(jonsson):
+    rng = np.random.default_rng(17)
+    xs = rng.uniform(-2e-5, 2e-5, 300_000)
+    batch = pattern_components(jonsson, xs)
+    for i in rng.choice(xs.size, 64, replace=False):
+        alone = pattern_components(jonsson, xs[i])
+        assert _same_components([part[i:i + 1] for part in batch], alone)
+
+
+def test_components_independent_of_block_size(jonsson, monkeypatch):
+    rng = np.random.default_rng(23)
+    xs = np.concatenate([np.linspace(-2e-5, 2e-5, 2001),
+                         rng.uniform(-2e-5, 2e-5, 3000)])
+    expected = pattern_components(jonsson, xs)
+    for block in (1, 7, _POSITION_BLOCK):
+        monkeypatch.setattr(pattern_module, "_POSITION_BLOCK", block)
+        assert _same_components(pattern_components(jonsson, xs), expected)
+
+
+def test_components_block_edges(jonsson):
+    empty = pattern_components(jonsson, np.array([]))
+    assert [part.shape for part in empty] == [(0,)] * 3
+    # a partial last block
+    xs = np.linspace(-2e-5, 2e-5, 2 * _POSITION_BLOCK + 3)
+    components = pattern_components(jonsson, xs)
+    assert [part.shape for part in components] == [xs.shape] * 3
+    for i in (0, _POSITION_BLOCK, xs.size - 1):
+        alone = pattern_components(jonsson, xs[i])
+        assert _same_components([part[i:i + 1] for part in components], alone)
+    for bad in (np.nan, np.inf, -np.inf):
+        later = xs.copy()
+        later[_POSITION_BLOCK + 5] = bad
+        with pytest.raises(DomainError):
+            pattern_components(jonsson, later)
 
 
 def test_center_of_mass_antisymmetric_in_theta(jonsson):

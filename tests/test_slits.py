@@ -127,6 +127,15 @@ def test_geometry_validation():
         ApertureGeometry(**overlapping)
 
 
+def test_amplitudes_of_a_position_independent_of_batch(jonsson):
+    rng = np.random.default_rng(19)
+    xs = rng.uniform(-2e-5, 2e-5, 300_000)
+    plus, minus = slit_amplitude_pair(jonsson, xs)
+    for i in rng.choice(xs.size, 64, replace=False):
+        alone_plus, alone_minus = slit_amplitude_pair(jonsson, xs[i])
+        assert plus[i] == alone_plus[0] and minus[i] == alone_minus[0]
+
+
 def test_rejects_nonfinite_positions(jonsson):
     with pytest.raises(DomainError):
         slit_amplitude_pair(jonsson, np.array([0.0, np.nan]))
