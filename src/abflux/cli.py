@@ -25,6 +25,8 @@ from .errors import DomainError
 from .inference import DEFAULT_SURFACE_POINTS, fit_mle
 from .inference import discriminate as run_discriminate
 from .io import (
+    _FLUX_KEYS,
+    _SAMPLE_KEYS,
     MODEL_KEYS,
     format_number,
     geometry_comments,
@@ -51,20 +53,33 @@ from .pattern import (
 from .sampling import DEFAULT_GRID_POINTS, SampleConfig, sample_hits
 from .slits import DEFAULT_WINDOW, ApertureGeometry
 
-_DEFAULTS = {
-    **model_values(ApertureGeometry.jonsson(), DEFAULT_WINDOW),
-    "theta": 0.0,
-    "phi": 0.0,
-    "omega": 0.0,
-    "grid_points": DEFAULT_GRID_POINTS,
-    "screen_points": 512,
-    "param_points": 256,
-    "n_hits": 10000,
-    "seed": 0,
-    "theta_points": DEFAULT_SURFACE_POINTS,
-    "phi_points": DEFAULT_SURFACE_POINTS,
+_MODEL_DEFAULTS = model_values(ApertureGeometry.jonsson(), DEFAULT_WINDOW)
+# Every setting a flag or config key names: key -> (default, help of its
+# flag).  The flag is the key less its "_m" unit suffix, and it takes the
+# default's type.  Each subcommand lists the keys it reads.
+_SETTINGS = {
+    **{key: (_MODEL_DEFAULTS[key], text) for key, text in (
+        ("source_to_slit_m", "Source to slit-plane distance in meters."),
+        ("slit_to_screen_m", "Slit-plane to screen distance in meters."),
+        ("wavelength_m", "De Broglie wavelength in meters."),
+        ("slit_half_width_m", "Half-width of each slit in meters."),
+        ("slit_half_separation_m", "Half-distance between slit centers in meters."),
+        ("window_min_m", "Lower edge of the screen window in meters."),
+        ("window_max_m", "Upper edge of the screen window in meters."),
+    )},
+    "theta": (0.0, "Flux superposition angle in [0, pi] (radians)."),
+    "phi": (0.0, "Flux phase magnitude (radians)."),
+    "omega": (0.0, "Relative superposition phase (recorded, never observable)."),
+    "grid_points": (DEFAULT_GRID_POINTS,
+                    "Density-grid resolution for sampling and likelihoods."),
+    "screen_points": (512, "Number of screen positions per emitted curve."),
+    "param_points": (256, "Number of parameter values per figure panel."),
+    "n_hits": (10000, "Number of electron arrivals to draw."),
+    "seed": (0, "64-bit unsigned sampling seed."),
+    "theta_points": (DEFAULT_SURFACE_POINTS,
+                     "Theta resolution of the likelihood surface."),
+    "phi_points": (DEFAULT_SURFACE_POINTS, "Phi resolution of the likelihood surface."),
 }
-_INT_KEYS = frozenset(k for k, v in _DEFAULTS.items() if type(v) is int)
 _STRIPE_ROWS = 64   # pattern heatmaps repeat the single density row this often
 
 
@@ -82,27 +97,19 @@ class RunConfig:
         return geometry_from_values(self.values)
 
     def flux(self) -> FluxState:
-        return FluxState(
-            theta=self.values["theta"],
-            phi=self.values["phi"],
-            omega=self.values["omega"],
-        )
+        return FluxState(**{key: self.values[key] for key in _FLUX_KEYS})
 
     def window(self):
         return window_from_values(self.values)
 
     def sample_config(self) -> SampleConfig:
-        return SampleConfig(
-            window=self.window(),
-            grid_points=self.values["grid_points"],
-            n_hits=self.values["n_hits"],
-            seed=self.values["seed"],
-        )
+        return SampleConfig(window=self.window(),
+                            **{key: self.values[key] for key in _SAMPLE_KEYS})
 
 
 def _merge(config_path, overrides) -> RunConfig:
     """Defaults, then JSON config fields, then explicit flag values."""
-    values = dict(_DEFAULTS)
+    values = {key: default for key, (default, _) in _SETTINGS.items()}
     explicit = set()
     if config_path is not None:
         with open(config_path, "r", encoding="utf-8") as fh:
@@ -112,7 +119,7 @@ def _merge(config_path, overrides) -> RunConfig:
                 raise DomainError(f"{config_path}: invalid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise DomainError(f"{config_path}: config must be a JSON object")
-        unknown = sorted(set(doc) - set(_DEFAULTS))
+        unknown = sorted(set(doc) - set(_SETTINGS))
         if unknown:
             raise DomainError(
                 f"{config_path}: unknown config keys: {', '.join(unknown)}"
@@ -125,90 +132,34 @@ def _merge(config_path, overrides) -> RunConfig:
         if value is not None:
             values[key] = value
             explicit.add(key)
-    for key in _INT_KEYS:
-        value = values[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise DomainError(f"config key '{key}' must be an integer")
-        if isinstance(value, float):
-            if not value.is_integer():
-                raise DomainError(f"config key '{key}' must be an integer")
-            value = int(value)
-        values[key] = int(value)
-    for key in set(_DEFAULTS) - _INT_KEYS:
-        value = values[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise DomainError(f"config key '{key}' must be a number")
-        values[key] = float(value)
+    for key, (default, _) in _SETTINGS.items():
+        value, kind = values[key], type(default)
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or kind is int and isinstance(value, float) and not value.is_integer()):
+            noun = "an integer" if kind is int else "a number"
+            raise DomainError(f"config key '{key}' must be {noun}")
+        values[key] = kind(value)
     return RunConfig(values=values, explicit=frozenset(explicit))
 
 
-def _add_options(options):
+def _settings(*keys):
+    """--config, then one flag per geometry and window setting and per key."""
     def wrap(func):
-        for option in reversed(options):
-            func = option(func)
-        return func
+        for key in reversed((*(key for key, _ in MODEL_KEYS), *keys)):
+            default, text = _SETTINGS[key]
+            func = click.option(
+                f"--{key.removesuffix('_m').replace('_', '-')}", key,
+                type=type(default), default=None,
+                metavar="M" if key.endswith("_m") else None, help=text,
+            )(func)
+        return click.option(
+            "--config", "config_path", metavar="JSON", default=None,
+            help="JSON config file; explicit flags override its fields.",
+        )(func)
 
     return wrap
 
 
-_MODEL_HELP = {
-    "source_to_slit_m": "Source to slit-plane distance in meters.",
-    "slit_to_screen_m": "Slit-plane to screen distance in meters.",
-    "wavelength_m": "De Broglie wavelength in meters.",
-    "slit_half_width_m": "Half-width of each slit in meters.",
-    "slit_half_separation_m": "Half-distance between slit centers in meters.",
-    "window_min_m": "Lower edge of the screen window in meters.",
-    "window_max_m": "Upper edge of the screen window in meters.",
-}
-_CONFIG_OPTIONS = [
-    click.option(
-        "--config",
-        "config_path",
-        metavar="JSON",
-        default=None,
-        help="JSON config file; explicit flags override its fields.",
-    ),
-    *(
-        click.option(f"--{key.removesuffix('_m').replace('_', '-')}", key, type=float,
-                     default=None, metavar="M", help=_MODEL_HELP[key])
-        for key, _ in MODEL_KEYS
-    ),
-    click.option(
-        "--grid-points",
-        "grid_points",
-        type=int,
-        default=None,
-        help="Density-grid resolution for sampling and likelihoods.",
-    ),
-]
-_FLUX_OPTIONS = [
-    click.option("--theta", type=float, default=None,
-                 help="Flux superposition angle in [0, pi] (radians)."),
-    click.option("--phi", type=float, default=None,
-                 help="Flux phase magnitude (radians)."),
-    click.option("--omega", type=float, default=None,
-                 help="Relative superposition phase (recorded, never observable)."),
-]
-_SAMPLE_OPTIONS = [
-    click.option("--n-hits", "n_hits", type=int, default=None,
-                 help="Number of electron arrivals to draw."),
-    click.option("--seed", type=int, default=None,
-                 help="64-bit unsigned sampling seed."),
-]
-_SCREEN_OPTION = click.option(
-    "--screen-points",
-    "screen_points",
-    type=int,
-    default=None,
-    help="Number of screen positions per emitted curve.",
-)
-_PARAM_OPTION = click.option(
-    "--param-points",
-    "param_points",
-    type=int,
-    default=None,
-    help="Number of parameter values per figure panel.",
-)
 _MISMATCH_OPTION = click.option(
     "--allow-mismatch",
     is_flag=True,
@@ -233,7 +184,7 @@ def _echo_wrote(path):
 
 
 @cli.command()
-@_add_options(_CONFIG_OPTIONS + _FLUX_OPTIONS + [_SCREEN_OPTION])
+@_settings(*_FLUX_KEYS, "screen_points")
 @click.option("--out", "out_path", default="pattern.csv", show_default=True,
               help="Output CSV path.")
 @click.option("--heatmap", is_flag=True,
@@ -245,7 +196,7 @@ def pattern(out_path, heatmap, **kwargs):
         run.geometry(), run.flux(),
         ScreenGrid.uniform(*run.window(), run["screen_points"]),
     )
-    write_pattern_csv(out_path, grid, run.flux(), [("command", "pattern")])
+    write_pattern_csv(out_path, grid, [("command", "pattern")])
     _echo_wrote(out_path)
     if heatmap:
         write_pgm(_pgm_path(out_path), np.tile(grid.values, (_STRIPE_ROWS, 1)))
@@ -264,10 +215,17 @@ def _panel_comments(command, run, panel_key, panel_value):
     )
 
 
+def _param_values(run, stop):
+    """The param_points (at least 1) evenly spaced panel values over [0, stop]."""
+    if run["param_points"] < 1:
+        raise DomainError("param_points must be at least 1")
+    return np.linspace(0.0, stop, run["param_points"])
+
+
 def _write_panels(command, run, out_dir, heatmap, param_name, params, panels):
     """One CSV (and graymap) per panel (name, panel key, panel value, w_b,
     w_c) of the density A + w_b B + w_c C, one row per entry of params."""
-    x = np.linspace(*run.window(), run["screen_points"])
+    x = ScreenGrid.uniform(*run.window(), run["screen_points"]).positions
     comp_a, comp_b, comp_c = pattern_components(run.geometry(), x)
     for name, panel_key, panel_value, w_b, w_c in panels:
         matrix = comp_a + w_b[:, None] * comp_b + w_c[:, None] * comp_c
@@ -281,14 +239,14 @@ def _write_panels(command, run, out_dir, heatmap, param_name, params, panels):
 
 
 @cli.command()
-@_add_options(_CONFIG_OPTIONS + [_SCREEN_OPTION, _PARAM_OPTION])
+@_settings("screen_points", "param_points")
 @click.option("--out-dir", "out_dir", default=".", show_default=True,
               help="Directory for the three panel CSVs.")
 @click.option("--heatmap", is_flag=True, help="Also write one graymap per panel.")
 def figure3(out_dir, heatmap, **kwargs):
     """Density panels over (x, phi in [0, 2 pi]) for theta in {0, pi, pi/2}."""
     run = _merge(kwargs.pop("config_path"), kwargs)
-    phis = np.linspace(0.0, 2.0 * np.pi, run["param_points"])
+    phis = _param_values(run, 2.0 * np.pi)
     panels = [
         (name, "panel_theta", theta, np.cos(phis), np.sin(phis) * np.cos(theta))
         for name, theta in (("theta_0", 0.0), ("theta_pi", np.pi),
@@ -298,14 +256,14 @@ def figure3(out_dir, heatmap, **kwargs):
 
 
 @cli.command()
-@_add_options(_CONFIG_OPTIONS + [_SCREEN_OPTION, _PARAM_OPTION])
+@_settings("screen_points", "param_points")
 @click.option("--out-dir", "out_dir", default=".", show_default=True,
               help="Directory for the three panel CSVs.")
 @click.option("--heatmap", is_flag=True, help="Also write one graymap per panel.")
 def figure4(out_dir, heatmap, **kwargs):
     """Density panels over (x, theta in [0, pi]) for phi in {pi/4, pi/2, pi}."""
     run = _merge(kwargs.pop("config_path"), kwargs)
-    thetas = np.linspace(0.0, np.pi, run["param_points"])
+    thetas = _param_values(run, np.pi)
     panels = [
         (name, "panel_phi", phi, np.full(thetas.size, np.cos(phi)),
          np.sin(phi) * np.cos(thetas))
@@ -316,7 +274,7 @@ def figure4(out_dir, heatmap, **kwargs):
 
 
 @cli.command()
-@_add_options(_CONFIG_OPTIONS + _FLUX_OPTIONS + _SAMPLE_OPTIONS)
+@_settings("grid_points", *_FLUX_KEYS, "n_hits", "seed")
 @click.option("--out", "out_path", default="hits.csv", show_default=True,
               help="Output CSV path.")
 def simulate(out_path, **kwargs):
@@ -369,13 +327,8 @@ def _analysis_comments(command, hits_file, geometry, window, run):
 
 @cli.command()
 @click.argument("hits_file")
-@_add_options(_CONFIG_OPTIONS + [
-    click.option("--theta-points", "theta_points", type=int, default=None,
-                 help="Theta resolution of the likelihood surface."),
-    click.option("--phi-points", "phi_points", type=int, default=None,
-                 help="Phi resolution of the likelihood surface."),
-    _MISMATCH_OPTION,
-])
+@_settings("grid_points", "theta_points", "phi_points")
+@_MISMATCH_OPTION
 @click.option("--out", "out_path", default="surface.csv", show_default=True,
               help="Output CSV path for the likelihood surface.")
 def infer(hits_file, out_path, allow_mismatch, **kwargs):
@@ -399,7 +352,8 @@ def infer(hits_file, out_path, allow_mismatch, **kwargs):
 
 @cli.command()
 @click.argument("hits_file")
-@_add_options(_CONFIG_OPTIONS + [_MISMATCH_OPTION])
+@_settings("grid_points")
+@_MISMATCH_OPTION
 @click.option("--out", "out_path", default="discriminate.csv", show_default=True,
               help="Output CSV path for the comparison row.")
 def discriminate(hits_file, out_path, allow_mismatch, **kwargs):
@@ -430,7 +384,7 @@ def _parse_angle_list(text, flag):
 
 
 @cli.command()
-@_add_options(_CONFIG_OPTIONS + [_SCREEN_OPTION])
+@_settings("screen_points")
 @click.option("--thetas", "thetas_text", default="0", show_default=True,
               help="Comma-separated theta values (radians).")
 @click.option("--phis", "phis_text", default="0", show_default=True,
@@ -465,7 +419,7 @@ def sweep(thetas_text, phis_text, out_dir, **kwargs):
             geometry=geometry, flux=flux,
         )
         path = os.path.join(out_dir, name)
-        write_pattern_csv(path, grid, flux, [("command", "sweep")])
+        write_pattern_csv(path, grid, [("command", "sweep")])
         _echo_wrote(path)
 
 

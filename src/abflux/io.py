@@ -11,6 +11,7 @@ round-trip bit-exactly through ``float``.  Data rows follow a single
 from __future__ import annotations
 
 import itertools
+from dataclasses import fields
 
 import numpy as np
 
@@ -34,6 +35,10 @@ MODEL_KEYS = (
 )
 _GEOMETRY_FIELDS = tuple((key, field) for key, field in MODEL_KEYS if field)
 _WINDOW_KEYS = tuple(key for key, field in MODEL_KEYS if not field)
+# The flux and sampling keys are the FluxState fields (floats) and the
+# SampleConfig fields other than the window (integers), in field order.
+_FLUX_KEYS = tuple(f.name for f in fields(FluxState))
+_SAMPLE_KEYS = tuple(f.name for f in fields(SampleConfig) if f.name != "window")
 HITS_HEADER = "index,x_m"
 
 
@@ -78,11 +83,7 @@ def geometry_comments(geometry: ApertureGeometry):
 
 
 def flux_comments(flux: FluxState):
-    return [
-        ("theta", format_number(flux.theta)),
-        ("phi", format_number(flux.phi)),
-        ("omega", format_number(flux.omega)),
-    ]
+    return [(key, format_number(getattr(flux, key))) for key in _FLUX_KEYS]
 
 
 def window_comments(window):
@@ -176,11 +177,7 @@ def hits_comments(hits: HitSet):
         geometry_comments(hits.geometry)
         + flux_comments(hits.flux)
         + window_comments(cfg.window)
-        + [
-            ("grid_points", format_number(cfg.grid_points)),
-            ("n_hits", format_number(cfg.n_hits)),
-            ("seed", format_number(cfg.seed)),
-        ]
+        + [(key, format_number(getattr(cfg, key))) for key in _SAMPLE_KEYS]
     )
 
 
@@ -189,14 +186,16 @@ def write_hits_csv(path, hits: HitSet):
     write_csv(path, hits_comments(hits), HITS_HEADER, rows)
 
 
-def _comment_float(comments, key, path):
+def _comment_value(comments, key, path, kind):
+    """The provenance comment ``key`` parsed by ``kind`` (float or int)."""
     if key not in comments:
         raise DomainError(f"{path}: missing provenance comment '{key}'")
     try:
-        return float(comments[key])
+        return kind(comments[key])
     except ValueError:
+        noun = "an integer" if kind is int else "a number"
         raise DomainError(
-            f"{path}: provenance comment '{key}' is not a number: "
+            f"{path}: provenance comment '{key}' is not {noun}: "
             f"{comments[key]!r}"
         ) from None
 
@@ -213,19 +212,12 @@ def read_hits_csv(path) -> HitSet:
         raise DomainError(
             f"{path}: expected header '{HITS_HEADER}', got {','.join(header)!r}"
         )
-    model = {key: _comment_float(comments, key, path) for key, _ in MODEL_KEYS}
+    model = {key: _comment_value(comments, key, path, float) for key, _ in MODEL_KEYS}
     geometry = geometry_from_values(model)
-    flux = FluxState(
-        theta=_comment_float(comments, "theta", path),
-        phi=_comment_float(comments, "phi", path),
-        omega=_comment_float(comments, "omega", path),
-    )
-    config = SampleConfig(
-        window=window_from_values(model),
-        grid_points=int(_comment_float(comments, "grid_points", path)),
-        n_hits=int(_comment_float(comments, "n_hits", path)),
-        seed=int(_comment_float(comments, "seed", path)),
-    )
+    flux = FluxState(**{key: _comment_value(comments, key, path, float)
+                        for key in _FLUX_KEYS})
+    config = SampleConfig(window=window_from_values(model), **{
+        key: _comment_value(comments, key, path, int) for key in _SAMPLE_KEYS})
     if data.shape[0] != config.n_hits:
         raise DomainError(
             f"{path}: comments promise n_hits={config.n_hits} "
@@ -239,12 +231,12 @@ def read_hits_csv(path) -> HitSet:
     )
 
 
-def write_pattern_csv(path, grid, flux, comments_extra=()):
-    """Screen density as ``x_m,density`` rows (one configured flux state)."""
+def write_pattern_csv(path, grid, comments_extra=()):
+    """Screen density as ``x_m,density`` rows (the grid's one flux state)."""
     comments = (
         list(comments_extra)
         + geometry_comments(grid.geometry)
-        + flux_comments(flux)
+        + flux_comments(grid.flux)
         + window_comments((grid.positions[0], grid.positions[-1]))
         + [("screen_points", format_number(grid.positions.size))]
     )

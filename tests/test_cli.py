@@ -345,6 +345,48 @@ def test_grid_points_below_two_exit_2(tmp_path, capsys):
             assert "grid_points must be at least 2" in capsys.readouterr().err
 
 
+def test_curve_sizes_below_one_exit_2(tmp_path, capsys):
+    # every size is checked before the first file is written
+    out = str(tmp_path / "p.csv")
+    for argv in (
+        ["figure3", "--screen-points", "-1"],
+        ["figure4", "--param-points", "-2"],
+        ["figure3", "--screen-points", "0"],
+        ["figure3", "--param-points", "0"],
+        ["figure4", "--param-points", "0"],
+        ["figure4", "--screen-points", "0", "--heatmap"],
+        ["sweep", "--screen-points", "0"],
+    ):
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2, argv
+        assert list(tmp_path.iterdir()) == [], argv
+    assert main(["pattern", "--screen-points", "0", "--out", out]) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert "param_points must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [2**53 + 1, 2**64 - 1])
+def test_integer_provenance_round_trips(tmp_path, seed):
+    hits = tmp_path / "hits.csv"
+    run_ok(["simulate", "--out", str(hits), "--n-hits", "200", "--seed", str(seed)])
+    assert read_hits_csv(hits).config.seed == seed
+    out = str(tmp_path / "out.csv")
+    run_ok(["infer", str(hits), "--theta-points", "11", "--phi-points", "11",
+            "--out", out])
+    run_ok(["discriminate", str(hits), "--out", out])
+
+
+def test_non_integer_provenance_refused(tmp_path, capsys):
+    hits = tmp_path / "hits.csv"
+    run_ok(["simulate", "--out", str(hits), "--n-hits", "200", "--seed", "2"])
+    text = hits.read_text()
+    assert "# grid_points=8192\n" in text
+    hits.write_text(text.replace("# grid_points=8192\n", "# grid_points=2.5\n"))
+    capsys.readouterr()
+    for command in ("infer", "discriminate"):
+        assert main([command, str(hits), "--out", str(tmp_path / "out.csv")]) == 2
+        assert "'grid_points' is not an integer: '2.5'" in capsys.readouterr().err
+
+
 def test_sweep_rejects_colliding_file_names(tmp_path, capsys):
     # both thetas print as 1 at six significant digits
     assert main(["sweep", "--out-dir", str(tmp_path),
@@ -364,6 +406,8 @@ def test_retired_inputs_rejected(tmp_path, capsys):
         assert main(["discriminate", str(hits), flag, "3", "--out", out]) == 1
     assert main(["infer", str(hits), "--scan-points", "3", "--out", out]) == 1
     assert main(["simulate", "--workers", "2", "--out", str(hits)]) == 1
+    for command in ("pattern", "figure3", "figure4", "sweep"):
+        assert main([command, "--grid-points", "7"]) == 1
     capsys.readouterr()
     config = tmp_path / "retired.json"
     for doc in ({"workers": 1}, {"scan_points": 31}):
