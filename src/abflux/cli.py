@@ -51,7 +51,7 @@ from .pattern import (
     pattern_components,
 )
 from .sampling import DEFAULT_GRID_POINTS, SampleConfig, sample_hits
-from .slits import DEFAULT_WINDOW, ApertureGeometry
+from .slits import DEFAULT_WINDOW, ApertureGeometry, _checked_count
 
 _MODEL_DEFAULTS = model_values(ApertureGeometry.jonsson(), DEFAULT_WINDOW)
 # Every setting a flag or config key names: key -> (default, help of its
@@ -115,7 +115,7 @@ def _merge(config_path, overrides) -> RunConfig:
         with open(config_path, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:   # bad JSON or bytes that are not UTF-8
                 raise DomainError(f"{config_path}: invalid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise DomainError(f"{config_path}: config must be a JSON object")
@@ -133,12 +133,16 @@ def _merge(config_path, overrides) -> RunConfig:
             values[key] = value
             explicit.add(key)
     for key, (default, _) in _SETTINGS.items():
-        value, kind = values[key], type(default)
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or kind is int and isinstance(value, float) and not value.is_integer()):
-            noun = "an integer" if kind is int else "a number"
-            raise DomainError(f"config key '{key}' must be {noun}")
-        values[key] = kind(value)
+        value, name = values[key], f"config key '{key}'"
+        if isinstance(default, int):
+            values[key] = _checked_count(name, value)
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise DomainError(f"{name} must be a number")
+        else:
+            try:
+                values[key] = float(value)
+            except OverflowError:
+                raise DomainError(f"{name} must be within float range") from None
     return RunConfig(values=values, explicit=frozenset(explicit))
 
 
@@ -217,9 +221,7 @@ def _panel_comments(command, run, panel_key, panel_value):
 
 def _param_values(run, stop):
     """The param_points (at least 1) evenly spaced panel values over [0, stop]."""
-    if run["param_points"] < 1:
-        raise DomainError("param_points must be at least 1")
-    return np.linspace(0.0, stop, run["param_points"])
+    return np.linspace(0.0, stop, _checked_count("param_points", run["param_points"], 1))
 
 
 def _write_panels(command, run, out_dir, heatmap, param_name, params, panels):

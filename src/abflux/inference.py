@@ -36,9 +36,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .pattern import pattern_components
+from .pattern import combine_components, pattern_components
 from .sampling import DEFAULT_GRID_POINTS, HitSet, _window_grid
-from .slits import ApertureGeometry
+from .slits import ApertureGeometry, _checked_count
 
 DEFAULT_SURFACE_POINTS = 181
 _GAP_NATS = 1e-9            # certified distance of the circle fit below its maximum
@@ -173,30 +173,23 @@ class _LikelihoodContext:
         sub.n = n
         return sub
 
-    def loglik_and_zero_count(self, theta, phi):
-        c = np.cos(phi)
-        s = np.sin(phi) * np.cos(theta)
-        vals = self.hit_a + c * self.hit_b + s * self.hit_c
-        zeros = int(np.count_nonzero(vals <= 0.0))
-        if zeros:
-            return -np.inf, zeros
-        norm = self.norm_a + c * self.norm_b + s * self.norm_c
-        return float(np.log(vals).sum() - self.n * np.log(norm)), 0
-
     def loglik(self, theta, phi):
-        return self.loglik_and_zero_count(theta, phi)[0]
+        return float(self._loglik_disk(np.cos([phi]), np.sin([phi]) * np.cos([theta]))[0])
 
     def loglik_cells(self, thetas, phis):
-        """Log-likelihood at paired (theta, phi) arrays, bit-identical to
-        :meth:`loglik` per cell.  Cells go in blocks of _CELL_BLOCK
-        hits-by-cells elements through two reused buffers, so the work
-        stays in cache and nothing is allocated per block."""
+        """Log-likelihood at paired (theta, phi) arrays, :meth:`loglik` per
+        cell: both evaluate the same disk points with the same kernel."""
         thetas = np.asarray(thetas, dtype=float)
         phis = np.asarray(phis, dtype=float)
-        c = np.cos(phis)
-        s = np.sin(phis) * np.cos(thetas)
+        return self._loglik_disk(np.cos(phis), np.sin(phis) * np.cos(thetas))
+
+    def _loglik_disk(self, c, s):
+        """Log-likelihood at the disk points (c, s), -inf where a hit's
+        density is not positive.  Points go in blocks of _CELL_BLOCK
+        hits-by-points elements through two reused buffers, so the work
+        stays in cache and nothing is allocated per block."""
         out = np.empty(c.size)
-        rows = max(1, _CELL_BLOCK // max(self.n, 1))
+        rows = max(1, min(c.size, _CELL_BLOCK // max(self.n, 1)))
         v = np.empty((rows, self.n))
         w = np.empty((rows, self.n))
         # a zero density logs to -inf and a negative one to nan
@@ -240,10 +233,15 @@ def log_likelihood(hits, geometry=None, theta=None, phi=None, window=None,
     """
     if theta is None or phi is None:
         raise DomainError("theta and phi are required")
+    theta, phi = float(theta), float(phi)
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise DomainError(f"theta and phi must be finite, got {theta!r}, {phi!r}")
     positions, geometry, window = _resolve_inputs(hits, geometry, window)
     ctx = _LikelihoodContext(positions, geometry, window, grid_points)
-    value, zeros = ctx.loglik_and_zero_count(float(theta), float(phi))
-    if zeros:
+    value = ctx.loglik(theta, phi)
+    if value == -math.inf:
+        components = (ctx.hit_a, ctx.hit_b, ctx.hit_c)
+        zeros = np.count_nonzero(combine_components(components, theta, phi) <= 0.0)
         warnings.warn(
             f"{zeros} of {ctx.n} hits sit where the model density is zero; "
             "log-likelihood is -inf",
@@ -333,13 +331,17 @@ def _fit_definite(ctx, g1, g2):
         shift = value - t * (k1 * c + k2 * s)
         return alpha, value, (shift * na, shift * nb + k1, shift * nc + k2)
 
-    def push(lo, hi):
+    def push(lo, hi, spare):
+        # every tangent plane bounds F everywhere, so an end with no tangent
+        # borrows the other end's, or the parent arc's
         (a, _, la), (b, _, lb) = lo, hi
+        la, lb = la or lb or spare, lb or la or spare
         bound = math.inf
-        if la and lb:
+        if la:
             # the smaller tangent peaks at an end, where the tangents cross or
             # where one of them is stationary
-            roots = list(_circle_roots(*(p - q for p, q in zip(la, lb))))
+            roots = [] if la is lb else list(
+                _circle_roots(*(p - q for p, q in zip(la, lb))))
             for l0, l1, l2 in (la, lb):
                 roots += _circle_roots(l2 * nb - l1 * nc, l2 * na - l0 * nc,
                                        l0 * nb - l1 * na)
@@ -350,29 +352,23 @@ def _fit_definite(ctx, g1, g2):
                 / (na + nb * c + nc * s)
                 for c, s in ((math.cos(x), math.sin(x)) for x in alphas)
             )
-        heapq.heappush(heap, (-bound, a, lo, hi))
+        heapq.heappush(heap, (-bound, a, lo, hi, la))
 
     anchors = [anchor(a) for a in np.linspace(-np.pi, np.pi, _ARCS + 1).tolist()]
     best = max(anchors, key=lambda e: e[1])
     heap = []
     for lo, hi in zip(anchors, anchors[1:]):
-        push(lo, hi)
+        push(lo, hi, None)
     while heap and -heap[0][0] > best[1] + _GAP_NATS:
-        _, a, lo, hi = heapq.heappop(heap)
+        _, a, lo, hi, spare = heapq.heappop(heap)
         mid = 0.5 * (a + hi[0])
         if a < mid < hi[0]:
             middle = anchor(mid)
             best = max(best, middle, key=lambda e: e[1])
-            push(lo, middle)
-            push(middle, hi)
+            push(lo, middle, spare)
+            push(middle, hi, spare)
     theta, phi = _circle_angles(best[0])
     return ctx.loglik(theta, phi), "up" if theta == 0.0 else "down", float(phi)
-
-
-def _check_points(**points):
-    for name, value in points.items():
-        if int(value) < 2:
-            raise DomainError(f"{name} must be at least 2, got {value!r}")
 
 
 def fit_mle(hits, geometry=None, window=None, theta_points=DEFAULT_SURFACE_POINTS,
@@ -392,11 +388,10 @@ def fit_mle(hits, geometry=None, window=None, theta_points=DEFAULT_SURFACE_POINT
     positions, geometry, window = _resolve_inputs(hits, geometry, window)
     if positions.size == 0:
         raise DomainError("cannot fit an empty hit set")
-    _check_points(theta_points=theta_points, phi_points=phi_points)
+    theta_grid = np.linspace(0.0, np.pi, _checked_count("theta_points", theta_points, 2))
+    phi_grid = np.linspace(0.0, np.pi, _checked_count("phi_points", phi_points, 2))
     ctx = _LikelihoodContext(positions, geometry, window, grid_points)
     best = _discriminate_ctx(ctx)
-    theta_grid = np.linspace(0.0, np.pi, int(theta_points))
-    phi_grid = np.linspace(0.0, np.pi, int(phi_points))
     mesh_t, mesh_p = np.meshgrid(theta_grid, phi_grid, indexing="ij")
     matrix = ctx.loglik_cells(mesh_t.ravel(), mesh_p.ravel()).reshape(mesh_t.shape)
     zero_phase = max(ctx.loglik(0.0, 0.0), ctx.loglik(0.0, np.pi))
@@ -457,11 +452,11 @@ def sequential_trace(hits, geometry=None, window=None, checkpoint_schedule=(),
     is one :func:`discriminate` solve.
     """
     positions, geometry, window = _resolve_inputs(hits, geometry, window)
-    schedule = [int(n) for n in checkpoint_schedule]
+    schedule = [_checked_count("checkpoint", n, 1) for n in checkpoint_schedule]
     if not schedule:
         raise DomainError("checkpoint schedule must not be empty")
-    if schedule[0] < 1 or any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise DomainError("checkpoint schedule must be strictly increasing and >= 1")
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise DomainError("checkpoint schedule must be strictly increasing")
     if schedule[-1] > positions.size:
         raise DomainError(
             f"schedule reaches {schedule[-1]} hits but only {positions.size} are available"

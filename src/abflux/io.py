@@ -111,25 +111,28 @@ def read_csv(path):
     header = None
     data = None
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            if header is not None:
-                # the data block runs from here to the end of the file
-                rest = itertools.chain([raw], fh)
-                data = _read_rows(path, line_no, rest, len(header))
-                break
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" not in body:
-                    raise DomainError(
-                        f"{path}:{line_no}: comment is not of the form '# key=value'"
-                    )
-                key, value = body.split("=", 1)
-                comments[key.strip()] = value.strip()
-                continue
-            header = [name.strip() for name in line.split(",")]
+        try:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\n").rstrip("\r")
+                if not line:
+                    continue
+                if header is not None:
+                    # the data block runs from here to the end of the file
+                    rest = itertools.chain([raw], fh)
+                    data = _read_rows(path, line_no, rest, len(header))
+                    break
+                if line.startswith("#"):
+                    body = line[1:].strip()
+                    if "=" not in body:
+                        raise DomainError(
+                            f"{path}:{line_no}: comment is not of the form '# key=value'"
+                        )
+                    key, value = body.split("=", 1)
+                    comments[key.strip()] = value.strip()
+                    continue
+                header = [name.strip() for name in line.split(",")]
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path}: not UTF-8 text: {exc}") from None
     if header is None:
         raise DomainError(f"{path}: no header line found")
     if data is None:

@@ -37,6 +37,7 @@ import numpy as np
 from .errors import DomainError
 from .slits import (
     ApertureGeometry,
+    _checked_count,
     _checked_window,
     _validate_positions,
     slit_amplitude_pair,
@@ -113,9 +114,7 @@ class ScreenGrid:
     @classmethod
     def uniform(cls, x_min, x_max, n) -> "ScreenGrid":
         x_min, x_max = _checked_window((x_min, x_max))
-        if n < 1:
-            raise DomainError("grid needs at least one point")
-        return cls(np.linspace(x_min, x_max, int(n)))
+        return cls(np.linspace(x_min, x_max, _checked_count("screen grid points", n, 1)))
 
 
 @dataclass(frozen=True)

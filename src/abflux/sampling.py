@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateDistributionError, DomainError
 from .pattern import FluxState, density
-from .slits import DEFAULT_WINDOW, ApertureGeometry, _checked_window
+from .slits import DEFAULT_WINDOW, ApertureGeometry, _checked_count, _checked_window
 
 DEFAULT_GRID_POINTS = 8192
 
@@ -40,15 +40,10 @@ class SampleConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "window", _checked_window(self.window))
-        if int(self.grid_points) < 2:
-            raise DomainError("grid_points must be at least 2")
-        object.__setattr__(self, "grid_points", int(self.grid_points))
-        if int(self.n_hits) < 0:
-            raise DomainError("n_hits must be non-negative")
-        object.__setattr__(self, "n_hits", int(self.n_hits))
-        if not 0 <= int(self.seed) < 2**64:
-            raise DomainError("seed must fit an unsigned 64-bit integer")
-        object.__setattr__(self, "seed", int(self.seed))
+        for name, low, high in (("grid_points", 2, None), ("n_hits", 0, None),
+                                ("seed", 0, 2**64)):
+            value = _checked_count(name, getattr(self, name), low, high)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -132,9 +127,7 @@ def _window_grid(window, grid_points):
     """``grid_points`` (at least 2) evenly spaced positions spanning the
     window, both ends included exactly."""
     x_min, x_max = _checked_window(window)
-    if int(grid_points) < 2:
-        raise DomainError("grid_points must be at least 2")
-    return np.linspace(x_min, x_max, int(grid_points))
+    return np.linspace(x_min, x_max, _checked_count("grid_points", grid_points, 2))
 
 
 def uniform_variates(seed, start, stop):
@@ -143,8 +136,9 @@ def uniform_variates(seed, start, stop):
     Variate i depends only on (seed, i) — splitmix64 of seed + (i+1)*gamma
     — so any index range can be generated independently and identically.
     """
-    if not 0 <= start <= stop:
-        raise DomainError("need 0 <= start <= stop")
+    seed = _checked_count("seed", seed, 0, 2**64)
+    start = _checked_count("start", start, 0)
+    stop = _checked_count("stop", stop, start)
     idx = np.arange(start, stop, dtype=np.uint64)
     z = np.uint64(seed) + (idx + np.uint64(1)) * _SPLITMIX_GAMMA
     z = (z ^ (z >> np.uint64(30))) * _SPLITMIX_MULT1

@@ -16,13 +16,12 @@ with r = l/(L+l), E the complex Fresnel integral, and
     M = 4 b / (lambda l)                  normalization factor
 
 All lengths are SI meters.  The common quadratic phase factor cancels in
-every density but is kept by default so the amplitude is the literal
-expression above; ``with_common_phase=False`` drops it (the densities must
-not change, which the tests exercise).
+every density but is kept, so the amplitude is the literal expression above.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +43,20 @@ def _checked_window(window):
     if not (np.isfinite(x_min) and np.isfinite(x_max) and x_min < x_max):
         raise DomainError(f"window must satisfy x_min < x_max, got {window!r}")
     return x_min, x_max
+
+
+def _checked_count(name, value, low=None, high=None):
+    """``value`` as an int: an integral number (1e4 passes; 2.5, True and '7'
+    do not) with low <= value < high where those bounds are given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            isinstance(value, numbers.Integral) or float(value).is_integer()):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    count = int(value)
+    if low is not None and count < low:
+        raise DomainError(f"{name} must be at least {low}, got {value!r}")
+    if high is not None and count >= high:
+        raise DomainError(f"{name} must be below {high}, got {value!r}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -138,7 +151,7 @@ def _validate_positions(x):
     return x
 
 
-def slit_amplitude_pair(geometry: ApertureGeometry, x, with_common_phase=True):
+def slit_amplitude_pair(geometry: ApertureGeometry, x):
     """Both slit amplitudes (psi_plus, psi_minus) at screen positions x.
 
     Parameters
@@ -146,10 +159,6 @@ def slit_amplitude_pair(geometry: ApertureGeometry, x, with_common_phase=True):
     geometry : ApertureGeometry
     x : array_like of float
         Screen positions, m.
-    with_common_phase : bool
-        Keep the common factor exp(i pi x^2/(lambda (L+l))).  It cancels in
-        every density; dropping it must leave |psi±|^2 and psi+* psi-
-        unchanged.
 
     Returns
     -------
@@ -170,10 +179,8 @@ def slit_amplitude_pair(geometry: ApertureGeometry, x, with_common_phase=True):
         beta * (inner + projected),
     ])
     ei = _fresnel_ei_array(args).reshape(4, x.size)
-    prefactor = -1j * consts.amplitude_scale / np.sqrt(consts.normalization)
-    if with_common_phase:
-        phase = np.exp(1j * np.pi * x * x / (geometry.wavelength * (big_l + l)))
-        prefactor = prefactor * phase
+    phase = np.exp(1j * np.pi * x * x / (geometry.wavelength * (big_l + l)))
+    prefactor = (-1j * consts.amplitude_scale / np.sqrt(consts.normalization)) * phase
     # Named, the differences are not temporaries numpy could multiply in
     # place as `difference *= prefactor`, which swaps the operands of a
     # complex multiply that is not bitwise commutative; so each amplitude
@@ -183,7 +190,7 @@ def slit_amplitude_pair(geometry: ApertureGeometry, x, with_common_phase=True):
     return prefactor * plus_edges, prefactor * minus_edges
 
 
-def slit_amplitude(geometry: ApertureGeometry, slit, x, with_common_phase=True):
+def slit_amplitude(geometry: ApertureGeometry, slit, x):
     """Amplitude psi_plus or psi_minus at screen position(s) x.
 
     ``slit`` is ``"plus"`` (right slit, centred at +x0) or ``"minus"``.
@@ -193,6 +200,6 @@ def slit_amplitude(geometry: ApertureGeometry, slit, x, with_common_phase=True):
         raise DomainError(f"slit must be 'plus' or 'minus', got {slit!r}")
     scalar = np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    plus, minus = slit_amplitude_pair(geometry, xs, with_common_phase)
+    plus, minus = slit_amplitude_pair(geometry, xs)
     out = plus if slit == "plus" else minus
     return complex(out[0]) if scalar else out

@@ -288,6 +288,36 @@ def test_config_validation_failures(tmp_path, capsys):
     assert main(["pattern", "--config", str(bad_type)]) == 2
 
 
+def test_config_overflow_and_bad_bytes_exit_2(tmp_path, capsys):
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"theta": 1' + "0" * 400 + "}")
+    assert main(["pattern", "--config", str(huge), "--out", str(tmp_path / "p.csv")]) == 2
+    assert "config key 'theta' must be within float range" in capsys.readouterr().err
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"theta": 0.5, "note\xe9": 1}')
+    assert main(["pattern", "--config", str(latin), "--out", str(tmp_path / "p.csv")]) == 2
+    assert f"{latin}: invalid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_hits_file_bad_bytes_exit_2(tmp_path, capsys):
+    hits = tmp_path / "hits.csv"
+    run_ok(["simulate", "--out", str(hits), "--n-hits", "3000", "--seed", "2"])
+    blob = hits.read_bytes()
+    early = tmp_path / "early.csv"
+    early.write_bytes(blob.replace(b"# seed=2", b"# seed=\xff2"))
+    # far past the first read buffer, inside the data block
+    row = blob.index(b"\n2500,") + 1
+    deep = tmp_path / "deep.csv"
+    deep.write_bytes(blob[:row] + b"\xff" + blob[row + 1:])
+    out = str(tmp_path / "out.csv")
+    capsys.readouterr()
+    for command, path in (("infer", early), ("discriminate", early),
+                          ("infer", deep), ("discriminate", deep)):
+        assert main([command, str(path), "--out", out]) == 2
+        assert f"{path}: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main([]) == 1
     assert main(["pattern", "--no-such-flag"]) == 1

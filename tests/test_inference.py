@@ -7,9 +7,13 @@ carry several-sigma headroom; the flatness and small-llr bounds sit well
 above the largest values seen over 10+ calibration seeds.
 """
 
+import heapq
+import types
+
 import numpy as np
 import pytest
 
+from abflux import inference
 from abflux.errors import DomainError
 from abflux.inference import (
     Checkpoint,
@@ -90,6 +94,13 @@ def test_zero_density_hit_poisons_sum_with_warning(jonsson):
             hits, geometry=jonsson, theta=0.3, phi=np.pi, window=DEFAULT_WINDOW
         )
     assert value == -np.inf
+
+
+def test_non_finite_angles_rejected(jonsson):
+    hits = make_hits(jonsson, 1.0, 1.0, 50, 5)
+    for theta, phi in ((np.nan, 1.0), (1.0, np.inf), (-np.inf, 0.5), (0.5, np.nan)):
+        with pytest.raises(DomainError, match="must be finite"):
+            log_likelihood(hits, theta=theta, phi=phi)
 
 
 def test_bare_array_requires_geometry_and_window(jonsson):
@@ -406,6 +417,31 @@ def test_definite_fit_is_the_global_circle_maximum(jonsson):
         scan = ctx.loglik_cells(np.where(alphas >= 0.0, 0.0, np.pi), np.abs(alphas))
         assert result.loglik_definite >= scan.max() - 1e-9 * abs(scan.max())
         assert abs(result.definite_phi - best_phi) <= 1e-3
+
+
+def test_definite_fit_with_a_hit_on_a_fringe_zero(jonsson, monkeypatch):
+    # the definite densities near alpha = +-pi vanish at x = 0 to within
+    # rounding, so the anchors there have no tangent; the arcs next to them
+    # must still get finite bounds, or the search halves them for millions
+    # of arcs
+    arcs = []
+
+    def counted(heap, item):
+        arcs.append(item)
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(inference, "heapq",
+                        types.SimpleNamespace(heappush=counted, heappop=heapq.heappop))
+    window = (-2.0e-5, 2.5e-5)
+    hits = sample_hits(jonsson, FluxState(0.0, np.pi),
+                       SampleConfig(n_hits=500, seed=1, window=window)).positions
+    hits[0] = 0.0
+    result = discriminate(hits, geometry=jonsson, window=window)
+    assert len(arcs) <= 200
+    ctx = _LikelihoodContext(hits, jonsson, window)
+    alphas = np.linspace(-np.pi, np.pi, 65536, endpoint=False)
+    scan = ctx.loglik_cells(np.where(alphas >= 0.0, 0.0, np.pi), np.abs(alphas))
+    assert result.loglik_definite >= scan.max() - 1e-9 * abs(scan.max())
 
 
 def _per_cell(ctx, thetas, phis):

@@ -62,17 +62,6 @@ def test_center_intensity_frozen(jonsson):
     assert abs(plus[0]) ** 2 == pytest.approx(48033.17966365119, rel=1e-10)
 
 
-def test_common_phase_flag_only_rotates(jonsson):
-    xs = np.linspace(-1.5e-5, 1.5e-5, 41)
-    with_phase, _ = slit_amplitude_pair(jonsson, xs, with_common_phase=True)
-    bare, _ = slit_amplitude_pair(jonsson, xs, with_common_phase=False)
-    total = jonsson.source_to_slit + jonsson.slit_to_screen
-    rotation = np.exp(1j * np.pi * xs * xs / (jonsson.wavelength * total))
-    scale = np.abs(with_phase).max()
-    assert np.abs(bare * rotation - with_phase).max() / scale <= 1e-13
-    assert np.abs(np.abs(bare) - np.abs(with_phase)).max() / scale <= 1e-13
-
-
 def test_single_slit_selector_matches_pair(jonsson):
     xs = np.array([-3e-6, 0.0, 4.5e-6])
     plus, minus = slit_amplitude_pair(jonsson, xs)
