@@ -51,7 +51,7 @@ from .pattern import (
     pattern_components,
 )
 from .sampling import DEFAULT_GRID_POINTS, SampleConfig, sample_hits
-from .slits import DEFAULT_WINDOW, ApertureGeometry, _checked_count
+from .slits import DEFAULT_WINDOW, ApertureGeometry, _checked_count, _checked_real
 
 _MODEL_DEFAULTS = model_values(ApertureGeometry.jonsson(), DEFAULT_WINDOW)
 # Every setting a flag or config key names: key -> (default, help of its
@@ -133,16 +133,8 @@ def _merge(config_path, overrides) -> RunConfig:
             values[key] = value
             explicit.add(key)
     for key, (default, _) in _SETTINGS.items():
-        value, name = values[key], f"config key '{key}'"
-        if isinstance(default, int):
-            values[key] = _checked_count(name, value)
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise DomainError(f"{name} must be a number")
-        else:
-            try:
-                values[key] = float(value)
-            except OverflowError:
-                raise DomainError(f"{name} must be within float range") from None
+        checked = _checked_count if isinstance(default, int) else _checked_real
+        values[key] = checked(f"config key '{key}'", values[key])
     return RunConfig(values=values, explicit=frozenset(explicit))
 
 
@@ -200,7 +192,7 @@ def pattern(out_path, heatmap, **kwargs):
         run.geometry(), run.flux(),
         ScreenGrid.uniform(*run.window(), run["screen_points"]),
     )
-    write_pattern_csv(out_path, grid, [("command", "pattern")])
+    write_pattern_csv(out_path, grid, run.window(), [("command", "pattern")])
     _echo_wrote(out_path)
     if heatmap:
         write_pgm(_pgm_path(out_path), np.tile(grid.values, (_STRIPE_ROWS, 1)))
@@ -293,15 +285,17 @@ def _load_hits(path, run, allow_mismatch):
     Explicitly configured geometry/window values must agree with the file;
     on disagreement the run is refused unless --allow-mismatch was passed,
     in which case the configured model is used as given.  Values the user
-    did not set are adopted from the file.
+    did not set are adopted from the file.  grid_points is returned as set
+    by flag or config, else None: the likelihood then takes the file's.
     """
     hits = read_hits_csv(path)
+    grid_points = run["grid_points"] if "grid_points" in run.explicit else None
     file_values = model_values(hits.geometry, hits.config.window)
     mismatched = []
     for key, _ in MODEL_KEYS:
         if key not in run.explicit:
             continue
-        configured = float(run[key])
+        configured = run[key]
         recorded = file_values[key]
         scale = max(abs(configured), abs(recorded))
         if abs(configured - recorded) > 1e-12 * scale:
@@ -314,16 +308,18 @@ def _load_hits(path, run, allow_mismatch):
                 f"{path}: provenance mismatch; " + "; ".join(mismatched)
                 + " (pass --allow-mismatch to analyze under the configured model)"
             )
-        return hits, run.geometry(), run.window()
-    return hits, hits.geometry, hits.config.window
+        return hits, run.geometry(), run.window(), grid_points
+    return hits, hits.geometry, hits.config.window, grid_points
 
 
-def _analysis_comments(command, hits_file, geometry, window, run):
+def _analysis_comments(command, hits_file, hits, geometry, window, grid_points):
+    """Provenance of an analysis, with the grid_points the likelihood used."""
+    used = hits.config.grid_points if grid_points is None else grid_points
     return (
         [("command", command), ("input", str(hits_file))]
         + geometry_comments(geometry)
         + window_comments(window)
-        + [("grid_points", format_number(run["grid_points"]))]
+        + [("grid_points", format_number(used))]
     )
 
 
@@ -336,13 +332,13 @@ def _analysis_comments(command, hits_file, geometry, window, run):
 def infer(hits_file, out_path, allow_mismatch, **kwargs):
     """Likelihood surface and maximum-likelihood angles for a hits file."""
     run = _merge(kwargs.pop("config_path"), kwargs)
-    hits, geometry, window = _load_hits(hits_file, run, allow_mismatch)
+    hits, geometry, window, grid_points = _load_hits(hits_file, run, allow_mismatch)
     surface = fit_mle(
         hits, geometry=geometry, window=window,
         theta_points=run["theta_points"], phi_points=run["phi_points"],
-        grid_points=run["grid_points"],
+        grid_points=grid_points,
     )
-    comments = _analysis_comments("infer", hits_file, geometry, window, run)
+    comments = _analysis_comments("infer", hits_file, hits, geometry, window, grid_points)
     write_surface_csv(out_path, surface, comments)
     _echo_wrote(out_path)
     click.echo(
@@ -361,10 +357,11 @@ def infer(hits_file, out_path, allow_mismatch, **kwargs):
 def discriminate(hits_file, out_path, allow_mismatch, **kwargs):
     """Superposition-vs-definite-flux likelihood comparison for a hits file."""
     run = _merge(kwargs.pop("config_path"), kwargs)
-    hits, geometry, window = _load_hits(hits_file, run, allow_mismatch)
+    hits, geometry, window, grid_points = _load_hits(hits_file, run, allow_mismatch)
     result = run_discriminate(hits, geometry=geometry, window=window,
-                              grid_points=run["grid_points"])
-    comments = _analysis_comments("discriminate", hits_file, geometry, window, run)
+                              grid_points=grid_points)
+    comments = _analysis_comments("discriminate", hits_file, hits, geometry, window,
+                                  grid_points)
     write_hypothesis_csv(out_path, result, comments)
     _echo_wrote(out_path)
     click.echo(
@@ -421,7 +418,7 @@ def sweep(thetas_text, phis_text, out_dir, **kwargs):
             geometry=geometry, flux=flux,
         )
         path = os.path.join(out_dir, name)
-        write_pattern_csv(path, grid, [("command", "sweep")])
+        write_pattern_csv(path, grid, run.window(), [("command", "sweep")])
         _echo_wrote(path)
 
 

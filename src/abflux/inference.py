@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import DomainError
 from .pattern import combine_components, pattern_components
-from .sampling import DEFAULT_GRID_POINTS, HitSet, _window_grid
-from .slits import ApertureGeometry, _checked_count
+from .sampling import DEFAULT_GRID_POINTS, HitSet, _checked_hits, _window_grid
+from .slits import ApertureGeometry, _checked_count, _checked_real
 
 DEFAULT_SURFACE_POINTS = 181
 _GAP_NATS = 1e-9            # certified distance of the circle fit below its maximum
@@ -61,8 +61,8 @@ def canonical_angles(theta, phi):
     (pi - theta, 2 pi - phi); this picks the representative with
     phi in [0, pi] after reducing phi mod 2 pi.
     """
-    phi = float(phi) % (2.0 * np.pi)
-    theta = float(theta)
+    theta = _checked_real("theta", theta)
+    phi = _checked_real("phi", phi) % (2.0 * np.pi)
     if phi > np.pi:
         return np.pi - theta, 2.0 * np.pi - phi
     return theta, phi
@@ -130,8 +130,8 @@ def segment_slopes(trace: SequentialTrace, split_index: int):
     """Least-squares slopes of llr vs hit count before/after a checkpoint
     index; a jump in the source shows up as a change between the two."""
     points = [(c.n_hits, c.llr) for c in trace.checkpoints]
-    if not 2 <= split_index <= len(points) - 2:
-        raise DomainError("need at least two checkpoints on each side of the split")
+    # at least two checkpoints on each side of the split
+    split_index = _checked_count("split_index", split_index, 2, len(points) - 1)
 
     def slope(part):
         ns = np.array([p[0] for p in part], dtype=float)
@@ -146,14 +146,8 @@ class _LikelihoodContext:
     grid, with log-likelihood evaluation for single cells and cell batches."""
 
     def __init__(self, positions, geometry, window, grid_points=DEFAULT_GRID_POINTS):
-        positions = np.asarray(positions, dtype=float)
-        if positions.ndim != 1:
-            raise DomainError("hit positions must be a 1-D array")
+        positions = _checked_hits(positions, window)
         grid = _window_grid(window, grid_points)
-        if positions.size and not (
-            np.all(positions >= grid[0]) and np.all(positions <= grid[-1])
-        ):
-            raise DomainError("hits must lie inside the likelihood window")
         grid_a, grid_b, grid_c = pattern_components(geometry, grid)
         self.norm_a = float(np.trapezoid(grid_a, grid))
         self.norm_b = float(np.trapezoid(grid_b, grid))
@@ -207,23 +201,27 @@ class _LikelihoodContext:
         return out - self.n * np.log(self.norm_a + c * self.norm_b + s * self.norm_c)
 
 
-def _resolve_inputs(hits, geometry, window):
-    """Accept a HitSet (carrying geometry/window) or a bare position array."""
+def _resolve_inputs(hits, geometry, window, grid_points):
+    """Positions, geometry, window and normalization grid_points of a HitSet,
+    each argument given overriding the HitSet's; or of a bare position
+    array, which needs geometry and window and defaults grid_points to
+    DEFAULT_GRID_POINTS."""
+    positions = hits
     if isinstance(hits, HitSet):
         positions = hits.positions
-        geometry = geometry if geometry is not None else hits.geometry
-        window = window if window is not None else hits.config.window
-    else:
-        positions = np.asarray(hits, dtype=float)
+        geometry = hits.geometry if geometry is None else geometry
+        window = hits.config.window if window is None else window
+        grid_points = hits.config.grid_points if grid_points is None else grid_points
+    grid_points = DEFAULT_GRID_POINTS if grid_points is None else grid_points
     if geometry is None or window is None:
         raise DomainError("geometry and window are required with bare position arrays")
     if not isinstance(geometry, ApertureGeometry):
         raise DomainError("geometry must be an ApertureGeometry")
-    return positions, geometry, window
+    return positions, geometry, window, grid_points
 
 
 def log_likelihood(hits, geometry=None, theta=None, phi=None, window=None,
-                   grid_points=DEFAULT_GRID_POINTS):
+                   grid_points=None):
     """Unbinned log-likelihood of (theta, phi) for a hit set, in nats.
 
     Each hit contributes log of the window-normalized density at its
@@ -231,13 +229,8 @@ def log_likelihood(hits, geometry=None, theta=None, phi=None, window=None,
     exactly where the model density vanishes poison the sum: the result is
     -inf and a warning reports how many such hits there were.
     """
-    if theta is None or phi is None:
-        raise DomainError("theta and phi are required")
-    theta, phi = float(theta), float(phi)
-    if not (math.isfinite(theta) and math.isfinite(phi)):
-        raise DomainError(f"theta and phi must be finite, got {theta!r}, {phi!r}")
-    positions, geometry, window = _resolve_inputs(hits, geometry, window)
-    ctx = _LikelihoodContext(positions, geometry, window, grid_points)
+    theta, phi = _checked_real("theta", theta), _checked_real("phi", phi)
+    ctx = _LikelihoodContext(*_resolve_inputs(hits, geometry, window, grid_points))
     value = ctx.loglik(theta, phi)
     if value == -math.inf:
         components = (ctx.hit_a, ctx.hit_b, ctx.hit_c)
@@ -372,7 +365,7 @@ def _fit_definite(ctx, g1, g2):
 
 
 def fit_mle(hits, geometry=None, window=None, theta_points=DEFAULT_SURFACE_POINTS,
-            phi_points=DEFAULT_SURFACE_POINTS, grid_points=DEFAULT_GRID_POINTS):
+            phi_points=DEFAULT_SURFACE_POINTS, grid_points=None):
     """Maximum-likelihood (theta, phi) from a hit set.
 
     The estimate is the likelihood maximum over the (c, s) disk, the same
@@ -385,12 +378,11 @@ def fit_mle(hits, geometry=None, window=None, theta_points=DEFAULT_SURFACE_POINT
     which theta has no effect on the density), in which case
     ``theta_hat`` is not meaningful.
     """
-    positions, geometry, window = _resolve_inputs(hits, geometry, window)
-    if positions.size == 0:
+    ctx = _LikelihoodContext(*_resolve_inputs(hits, geometry, window, grid_points))
+    if ctx.n == 0:
         raise DomainError("cannot fit an empty hit set")
     theta_grid = np.linspace(0.0, np.pi, _checked_count("theta_points", theta_points, 2))
     phi_grid = np.linspace(0.0, np.pi, _checked_count("phi_points", phi_points, 2))
-    ctx = _LikelihoodContext(positions, geometry, window, grid_points)
     best = _discriminate_ctx(ctx)
     mesh_t, mesh_p = np.meshgrid(theta_grid, phi_grid, indexing="ij")
     matrix = ctx.loglik_cells(mesh_t.ravel(), mesh_p.ravel()).reshape(mesh_t.shape)
@@ -403,7 +395,7 @@ def fit_mle(hits, geometry=None, window=None, theta_points=DEFAULT_SURFACE_POINT
     )
 
 
-def discriminate(hits, geometry=None, window=None, grid_points=DEFAULT_GRID_POINTS):
+def discriminate(hits, geometry=None, window=None, grid_points=None):
     """Superposition-vs-definite-flux likelihood comparison.
 
     Maximizes the log-likelihood over the superposition family, the (c, s)
@@ -411,10 +403,9 @@ def discriminate(hits, geometry=None, window=None, grid_points=DEFAULT_GRID_POIN
     or pi, phi free), and reports both maxima and their difference
     llr >= 0.
     """
-    positions, geometry, window = _resolve_inputs(hits, geometry, window)
-    if positions.size == 0:
+    ctx = _LikelihoodContext(*_resolve_inputs(hits, geometry, window, grid_points))
+    if ctx.n == 0:
         raise DomainError("cannot discriminate on an empty hit set")
-    ctx = _LikelihoodContext(positions, geometry, window, grid_points)
     return _discriminate_ctx(ctx)
 
 
@@ -443,7 +434,7 @@ def _discriminate_ctx(ctx):
 
 
 def sequential_trace(hits, geometry=None, window=None, checkpoint_schedule=(),
-                     grid_points=DEFAULT_GRID_POINTS) -> SequentialTrace:
+                     grid_points=None) -> SequentialTrace:
     """Fit and discriminate on growing hit prefixes.
 
     ``checkpoint_schedule`` is a strictly increasing sequence of prefix
@@ -451,17 +442,16 @@ def sequential_trace(hits, geometry=None, window=None, checkpoint_schedule=(),
     computed once for the full set and sliced per checkpoint, each of which
     is one :func:`discriminate` solve.
     """
-    positions, geometry, window = _resolve_inputs(hits, geometry, window)
+    ctx = _LikelihoodContext(*_resolve_inputs(hits, geometry, window, grid_points))
     schedule = [_checked_count("checkpoint", n, 1) for n in checkpoint_schedule]
     if not schedule:
         raise DomainError("checkpoint schedule must not be empty")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise DomainError("checkpoint schedule must be strictly increasing")
-    if schedule[-1] > positions.size:
+    if schedule[-1] > ctx.n:
         raise DomainError(
-            f"schedule reaches {schedule[-1]} hits but only {positions.size} are available"
+            f"schedule reaches {schedule[-1]} hits but only {ctx.n} are available"
         )
-    ctx = _LikelihoodContext(positions, geometry, window, grid_points)
     checkpoints = []
     for n in schedule:
         result = _discriminate_ctx(ctx.prefix(n))

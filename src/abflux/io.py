@@ -234,13 +234,14 @@ def read_hits_csv(path) -> HitSet:
     )
 
 
-def write_pattern_csv(path, grid, comments_extra=()):
-    """Screen density as ``x_m,density`` rows (the grid's one flux state)."""
+def write_pattern_csv(path, grid, window, comments_extra=()):
+    """Screen density as ``x_m,density`` rows (the grid's one flux state),
+    recording the (x_min, x_max) window the grid spans."""
     comments = (
         list(comments_extra)
         + geometry_comments(grid.geometry)
         + flux_comments(grid.flux)
-        + window_comments((grid.positions[0], grid.positions[-1]))
+        + window_comments(window)
         + [("screen_points", format_number(grid.positions.size))]
     )
     rows = zip(_float_texts(grid.positions), _float_texts(grid.values))

@@ -38,6 +38,7 @@ from .errors import DomainError
 from .slits import (
     ApertureGeometry,
     _checked_count,
+    _checked_real,
     _checked_window,
     _validate_positions,
     slit_amplitude_pair,
@@ -72,12 +73,10 @@ class FluxState:
     omega: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.theta) and 0.0 <= self.theta <= np.pi):
-            raise DomainError(f"theta must lie in [0, pi], got {self.theta!r}")
-        if not (np.isfinite(self.omega) and 0.0 <= self.omega < 2.0 * np.pi):
-            raise DomainError(f"omega must lie in [0, 2 pi), got {self.omega!r}")
-        if not (np.isfinite(self.phi) and self.phi >= 0.0):
-            raise DomainError(f"phi must be non-negative, got {self.phi!r}")
+        for name, high in (("theta", np.pi), ("phi", np.inf), ("omega", np.inf)):
+            object.__setattr__(self, name, _checked_real(name, getattr(self, name), 0.0, high))
+        if self.omega >= 2.0 * np.pi:
+            raise DomainError(f"omega must be below 2 pi, got {self.omega!r}")
 
 
 @dataclass(frozen=True)
@@ -89,10 +88,10 @@ class PhysicalFlux:
     charge: float
 
     def __post_init__(self):
-        if not np.isfinite(self.flux):
-            raise DomainError(f"flux must be finite, got {self.flux!r}")
-        if not (np.isfinite(self.charge) and self.charge != 0.0):
-            raise DomainError(f"charge must be finite and nonzero, got {self.charge!r}")
+        for name in ("flux", "charge"):
+            object.__setattr__(self, name, _checked_real(name, getattr(self, name)))
+        if self.charge == 0.0:
+            raise DomainError("charge must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -127,12 +126,10 @@ class DensityGrid:
     flux: FluxState
 
     def __post_init__(self):
-        positions = np.asarray(self.positions, dtype=float)
+        positions = ScreenGrid(self.positions).positions
         values = np.asarray(self.values, dtype=float)
-        if positions.shape != values.shape or positions.ndim != 1:
-            raise DomainError("positions and values must be 1-D and equal length")
-        if positions.size > 1 and not np.all(np.diff(positions) > 0):
-            raise DomainError("positions must be strictly increasing")
+        if values.shape != positions.shape or not np.isfinite(values).all():
+            raise DomainError("density values must be finite, one per position")
         peak = float(np.max(values, initial=0.0))
         if np.any(values < -_NEGATIVE_TOLERANCE * max(peak, 1.0)):
             raise DomainError("density values must be non-negative")
@@ -174,12 +171,6 @@ def pattern_components(geometry: ApertureGeometry, x):
     return out[0], out[1], out[2]
 
 
-def _as_positions(x):
-    scalar = np.ndim(x) == 0
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    return scalar, xs
-
-
 def combine_components(components, theta, phi):
     """A + B cos(phi) + C sin(phi) cos(theta) over precomputed components.
 
@@ -193,37 +184,27 @@ def combine_components(components, theta, phi):
 def basis_density(geometry: ApertureGeometry, phi, direction, x):
     """Screen density for a definite ("up" or "down") flux of magnitude phi.
 
-    The up pattern shifts left (toward negative x) with growing phi, the
-    down pattern right.  Scalar x gives a float, array x an array.
+    The up pattern (theta = 0) shifts left (toward negative x) with growing
+    phi, the down pattern (theta = pi) right.  Scalar x gives a float, array
+    x an array.
     """
-    phi = float(phi)
-    if not (np.isfinite(phi) and phi >= 0.0):
-        raise DomainError(f"phi must be non-negative, got {phi!r}")
     if direction not in ("up", "down"):
         raise DomainError(f"direction must be 'up' or 'down', got {direction!r}")
-    scalar, xs = _as_positions(x)
-    theta = 0.0 if direction == "up" else np.pi
-    values = combine_components(pattern_components(geometry, xs), theta, phi)
-    return float(values[0]) if scalar else values
+    return density(geometry, FluxState(0.0 if direction == "up" else np.pi, phi), x)
 
 
 def density(geometry: ApertureGeometry, flux: FluxState, x):
-    """Screen density for a superposed flux; independent of flux.omega."""
-    scalar, xs = _as_positions(x)
-    values = combine_components(pattern_components(geometry, xs), flux.theta, flux.phi)
-    return float(values[0]) if scalar else values
+    """Screen density for a superposed flux; independent of flux.omega.
+    Scalar x gives a float, array x an array."""
+    values = combine_components(pattern_components(geometry, x), flux.theta, flux.phi)
+    return float(values[0]) if np.ndim(x) == 0 else values
 
 
 def mixture_density(geometry: ApertureGeometry, phi, p_up, x):
     """Classical mixture p_up * up-pattern + (1 - p_up) * down-pattern."""
-    p_up = float(p_up)
-    if not (np.isfinite(p_up) and 0.0 <= p_up <= 1.0):
-        raise DomainError(f"p_up must lie in [0, 1], got {p_up!r}")
-    scalar, xs = _as_positions(x)
-    up = basis_density(geometry, phi, "up", xs)
-    down = basis_density(geometry, phi, "down", xs)
-    values = p_up * up + (1.0 - p_up) * down
-    return float(values[0]) if scalar else values
+    p_up = _checked_real("p_up", p_up, 0.0, 1.0)
+    return (p_up * basis_density(geometry, phi, "up", x)
+            + (1.0 - p_up) * basis_density(geometry, phi, "down", x))
 
 
 def density_grid(geometry: ApertureGeometry, flux: FluxState, grid: ScreenGrid) -> DensityGrid:

@@ -46,6 +46,19 @@ class SampleConfig:
             object.__setattr__(self, name, value)
 
 
+def _checked_hits(positions, window):
+    """Hit positions as a 1-D float array inside the window, ends included;
+    a float array passes uncopied."""
+    positions = np.asarray(positions, dtype=float)
+    if positions.ndim != 1:
+        raise DomainError("hit positions must be a 1-D array")
+    x_min, x_max = _checked_window(window)
+    # min and max are nan if any position is, and nan fails both comparisons
+    if positions.size and not (positions.min() >= x_min and positions.max() <= x_max):
+        raise DomainError(f"hit positions must lie inside the window {window!r}")
+    return positions
+
+
 @dataclass(frozen=True)
 class HitSet:
     """Ordered simulated arrival positions plus everything that produced
@@ -57,18 +70,11 @@ class HitSet:
     geometry: ApertureGeometry
 
     def __post_init__(self):
-        positions = np.asarray(self.positions, dtype=float)
-        if positions.ndim != 1:
-            raise DomainError("hit positions must be a 1-D array")
+        positions = _checked_hits(self.positions, self.config.window)
         if positions.size != self.config.n_hits:
             raise DomainError(
                 f"hit count {positions.size} does not match config.n_hits {self.config.n_hits}"
             )
-        x_min, x_max = self.config.window
-        if positions.size and not (
-            np.all(positions >= x_min) and np.all(positions <= x_max)
-        ):
-            raise DomainError("hit positions must lie inside the window")
         object.__setattr__(self, "positions", positions)
 
     def __len__(self):

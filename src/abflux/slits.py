@@ -21,8 +21,9 @@ every density but is kept, so the amplitude is the literal expression above.
 
 from __future__ import annotations
 
+import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,8 +40,9 @@ DEFAULT_WINDOW = (-2.0e-5, 2.0e-5)
 
 def _checked_window(window):
     """A screen window as floats (x_min, x_max), both finite, x_min < x_max."""
-    x_min, x_max = (float(v) for v in window)
-    if not (np.isfinite(x_min) and np.isfinite(x_max) and x_min < x_max):
+    x_min, x_max = window
+    x_min, x_max = _checked_real("window x_min", x_min), _checked_real("window x_max", x_max)
+    if not x_min < x_max:
         raise DomainError(f"window must satisfy x_min < x_max, got {window!r}")
     return x_min, x_max
 
@@ -59,6 +61,31 @@ def _checked_count(name, value, low=None, high=None):
     return count
 
 
+def _checked_real(name, value, low=-math.inf, high=math.inf):
+    """``value`` as a float: a finite real number (1 and numpy floats pass;
+    True, '0.5' and nan do not) with low <= value <= high."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:
+        raise DomainError(f"{name} must be within float range") from None
+    if not math.isfinite(real):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    if not low <= real <= high:
+        raise DomainError(f"{name} must lie in [{low!r}, {high!r}], got {value!r}")
+    return real
+
+
+def _store_positive(instance):
+    """Store every field of a frozen dataclass as a positive float."""
+    for field in fields(instance):
+        value = _checked_real(field.name, getattr(instance, field.name))
+        if value <= 0.0:
+            raise DomainError(f"{field.name} must be positive, got {value!r}")
+        object.__setattr__(instance, field.name, value)
+
+
 @dataclass(frozen=True)
 class ApertureGeometry:
     """Source / slit / screen layout, SI meters.
@@ -74,16 +101,7 @@ class ApertureGeometry:
     wavelength: float
 
     def __post_init__(self):
-        for name in (
-            "source_to_slit",
-            "slit_to_screen",
-            "slit_half_width",
-            "slit_half_separation",
-            "wavelength",
-        ):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise DomainError(f"{name} must be positive and finite, got {value!r}")
+        _store_positive(self)
         if self.slit_half_separation <= self.slit_half_width:
             raise DomainError(
                 "slit_half_separation must exceed slit_half_width "
@@ -112,10 +130,7 @@ class GeometryConstants:
     normalization: float      # M, dimensionless
 
     def __post_init__(self):
-        for name in ("amplitude_scale", "fresnel_scale", "normalization"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise DomainError(f"{name} must be positive and finite, got {value!r}")
+        _store_positive(self)
 
 
 def de_broglie_wavelength(mass, speed):
@@ -123,12 +138,9 @@ def de_broglie_wavelength(mass, speed):
 
     Raises :class:`DomainError` for non-positive mass or speed.
     """
-    mass = float(mass)
-    speed = float(speed)
-    if not (np.isfinite(mass) and mass > 0):
-        raise DomainError(f"mass must be positive and finite, got {mass!r}")
-    if not (np.isfinite(speed) and speed > 0):
-        raise DomainError(f"speed must be positive and finite, got {speed!r}")
+    mass, speed = _checked_real("mass", mass), _checked_real("speed", speed)
+    if not (mass > 0.0 and speed > 0.0):
+        raise DomainError(f"mass and speed must be positive, got {mass!r}, {speed!r}")
     return PLANCK_CONSTANT / (mass * speed)
 
 
@@ -145,8 +157,13 @@ def geometry_constants(geometry: ApertureGeometry) -> GeometryConstants:
 
 
 def _validate_positions(x):
-    x = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    if x.size and not np.all(np.isfinite(x)):
+    """Screen positions as a 1-D float array, a scalar as one element; a
+    float array passes uncopied.  More dimensions and non-finite values are
+    refused."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.ndim != 1:
+        raise DomainError(f"screen positions must be a scalar or 1-D, got shape {x.shape}")
+    if not np.isfinite(x).all():
         raise DomainError("screen positions must be finite")
     return x
 
@@ -198,8 +215,6 @@ def slit_amplitude(geometry: ApertureGeometry, slit, x):
     """
     if slit not in ("plus", "minus"):
         raise DomainError(f"slit must be 'plus' or 'minus', got {slit!r}")
-    scalar = np.ndim(x) == 0
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    plus, minus = slit_amplitude_pair(geometry, xs)
+    plus, minus = slit_amplitude_pair(geometry, x)
     out = plus if slit == "plus" else minus
-    return complex(out[0]) if scalar else out
+    return complex(out[0]) if np.ndim(x) == 0 else out

@@ -446,3 +446,48 @@ def test_retired_inputs_rejected(tmp_path, capsys):
                      "--out", out]) == 2
         (key,) = doc
         assert f"unknown config keys: {key}" in capsys.readouterr().err
+
+
+def test_one_point_curves_record_their_window(tmp_path):
+    # a one-point curve spans no interval, so its window comes from the
+    # settings, not from the first and last positions
+    out = tmp_path / "p.csv"
+    run_ok(["pattern", "--screen-points", "1", "--out", str(out)])
+    run_ok(["sweep", "--screen-points", "1", "--thetas", "0.5", "--phis", "1.0",
+            "--out-dir", str(tmp_path)])
+    for path in (out, tmp_path / "sweep_theta_0.5_phi_1.csv"):
+        comments, data = read_pattern(path)
+        assert data.shape == (1, 2)
+        assert (comments["window_min_m"], comments["window_max_m"]) == ("-2e-05", "2e-05")
+    # the recorded block regenerates its file
+    comments, _ = read_pattern(out)
+    again = tmp_path / "again.csv"
+    config = tmp_path / "block.json"
+    config.write_text(json.dumps({
+        key: int(value) if key == "screen_points" else float(value)
+        for key, value in comments.items() if key not in ("tool", "command")}))
+    run_ok(["pattern", "--config", str(config), "--out", str(again)])
+    assert again.read_bytes() == out.read_bytes()
+
+
+def test_likelihood_grid_comes_from_the_hits_file(tmp_path, capsys):
+    hits = tmp_path / "hits.csv"
+    run_ok(["simulate", "--out", str(hits), "--grid-points", "64", "--n-hits", "300",
+            "--seed", "5", "--theta", HALF_PI, "--phi", HALF_PI])
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"grid_points": 64}))
+    for command in ("infer", "discriminate"):
+        outputs = []
+        for extra in ([], ["--grid-points", "64"], ["--config", str(config)],
+                      ["--grid-points", "8192"]):
+            out = tmp_path / f"{command}_{len(outputs)}.csv"
+            argv = [command, str(hits), "--out", str(out)] + extra
+            if command == "infer":
+                argv += ["--theta-points", "5", "--phi-points", "5"]
+            capsys.readouterr()
+            run_ok(argv)
+            comments, _, data = read_csv(out)
+            outputs.append((comments["grid_points"], data.tolist(),
+                            capsys.readouterr().out.splitlines()[-1]))
+        assert [grid for grid, _, _ in outputs] == ["64", "64", "64", "8192"]
+        assert outputs[0][1:] == outputs[1][1:] == outputs[2][1:] != outputs[3][1:]

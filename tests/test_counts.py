@@ -11,13 +11,23 @@ import pytest
 
 from abflux.cli import RunConfig, _merge, _param_values
 from abflux.errors import DomainError
-from abflux.inference import discriminate, fit_mle, log_likelihood, sequential_trace
+from abflux.inference import (
+    Checkpoint,
+    SequentialTrace,
+    discriminate,
+    fit_mle,
+    log_likelihood,
+    segment_slopes,
+    sequential_trace,
+)
 from abflux.pattern import FluxState, ScreenGrid
 from abflux.sampling import SampleConfig, normalized_pdf_cdf, sample_hits, uniform_variates
 from abflux.slits import DEFAULT_WINDOW, ApertureGeometry
 
 _GEOMETRY = ApertureGeometry.jonsson()
 _HITS = sample_hits(_GEOMETRY, FluxState(1.0, 1.0), SampleConfig(n_hits=20, seed=3))
+_TRACE = SequentialTrace(tuple(Checkpoint(n, 0.0, 0.0, 0.5 * n + (n > 40) * n)
+                                for n in range(10, 90, 10)))
 
 # input -> (call returning what the count produced, a value out of its range;
 # None where the input has no range)
@@ -38,6 +48,7 @@ _COUNTS = {
         lambda v: fit_mle(_HITS, theta_points=v, phi_points=3).loglik.shape, 1),
     "fit_mle.phi_points": (
         lambda v: fit_mle(_HITS, theta_points=3, phi_points=v).loglik.shape, 1),
+    "segment_slopes.split_index": (lambda v: segment_slopes(_TRACE, v), 7),
     "sequential_trace.checkpoint": (
         lambda v: sequential_trace(_HITS, checkpoint_schedule=(v, 20)), 0),
     "ScreenGrid.uniform": (

@@ -485,3 +485,16 @@ def test_loglik_cells_on_empty_context(jonsson):
     ctx = _LikelihoodContext(hits.positions, jonsson, DEFAULT_WINDOW).prefix(0)
     assert ctx.loglik(0.1, 0.2) == 0.0
     assert np.array_equal(ctx.loglik_cells([0.1], [0.2]), [0.0])
+
+
+def test_likelihood_grid_defaults_to_the_hits_grid(jonsson):
+    config = SampleConfig(n_hits=200, seed=4, grid_points=64)
+    hits = sample_hits(jonsson, FluxState(1.0, 1.2), config)
+    assert log_likelihood(hits, theta=1.0, phi=1.2) == log_likelihood(
+        hits, theta=1.0, phi=1.2, grid_points=64)
+    assert log_likelihood(hits, theta=1.0, phi=1.2) != log_likelihood(
+        hits, theta=1.0, phi=1.2, grid_points=8192)
+    assert discriminate(hits) == discriminate(hits, grid_points=64)
+    bare = dict(geometry=jonsson, window=DEFAULT_WINDOW)
+    assert log_likelihood(hits.positions, theta=1.0, phi=1.2, **bare) == log_likelihood(
+        hits, theta=1.0, phi=1.2, grid_points=8192)

@@ -197,7 +197,7 @@ def test_writers_keep_per_element_repr_text(tmp_path, jonsson):
     density = np.abs(values)
     grid = DensityGrid(positions=x, values=density, geometry=jonsson, flux=flux)
     path = tmp_path / "pattern.csv"
-    write_pattern_csv(path, grid)
+    write_pattern_csv(path, grid, (-2e-5, 2e-5))
     assert _data_text(path, "x_m,density") == _former_rows(x, density)
 
     params = values[:4]

@@ -17,6 +17,7 @@ from abflux import (
     flux_parameter,
     mixture_density,
     pattern_components,
+    slit_amplitude_pair,
 )
 from abflux import pattern as pattern_module
 from abflux.pattern import _POSITION_BLOCK, HBAR_CGS, SPEED_OF_LIGHT_CGS
@@ -269,3 +270,26 @@ def test_density_grid_validation(jonsson):
             geometry=jonsson,
             flux=flux,
         )
+
+
+def test_positions_of_more_than_one_dimension_refused(jonsson):
+    x = np.zeros((2, 3))
+    for call in (lambda: density(jonsson, FluxState(0.5, 1.0), x),
+                 lambda: pattern_components(jonsson, x),
+                 lambda: slit_amplitude_pair(jonsson, x)):
+        with pytest.raises(DomainError, match=r"scalar or 1-D, got shape \(2, 3\)"):
+            call()
+    assert isinstance(density(jonsson, FluxState(0.5, 1.0), 1e-6), float)
+
+
+def test_density_grid_refuses_non_finite_entries(jonsson):
+    positions = ScreenGrid.uniform(-1e-5, 1e-5, 4).positions
+    flux = FluxState(0.0, 0.0)
+    with pytest.raises(DomainError, match="density values must be finite"):
+        DensityGrid(positions=positions, values=np.array([1.0, np.nan, 1.0, 1.0]),
+                    geometry=jonsson, flux=flux)
+    for edge in (-np.inf, np.inf):
+        bad = positions.copy()
+        bad[0 if edge < 0 else -1] = edge
+        with pytest.raises(DomainError, match="must be finite"):
+            DensityGrid(positions=bad, values=np.ones(4), geometry=jonsson, flux=flux)
