@@ -21,7 +21,7 @@ import click
 import numpy as np
 
 from ._version import __version__
-from .errors import DomainError
+from .errors import DomainError, _checked_count, _checked_real
 from .inference import DEFAULT_SURFACE_POINTS, fit_mle
 from .inference import discriminate as run_discriminate
 from .io import (
@@ -51,7 +51,7 @@ from .pattern import (
     pattern_components,
 )
 from .sampling import DEFAULT_GRID_POINTS, SampleConfig, sample_hits
-from .slits import DEFAULT_WINDOW, ApertureGeometry, _checked_count, _checked_real
+from .slits import DEFAULT_WINDOW, ApertureGeometry
 
 _MODEL_DEFAULTS = model_values(ApertureGeometry.jonsson(), DEFAULT_WINDOW)
 # Every setting a flag or config key names: key -> (default, help of its

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import _checked_array, _checked_real
 
 # |z| at or below which the power series is used; the continued fraction
 # takes over above.  Chosen so the two branches agree to ~5e-13 in a band
@@ -140,11 +140,9 @@ def fresnel_ei(z):
     Raises
     ------
     DomainError
-        If ``z`` is not finite.
+        If ``z`` is not a finite real number.
     """
-    z = float(z)
-    if not np.isfinite(z):
-        raise DomainError(f"fresnel_ei requires a finite argument, got {z!r}")
+    z = _checked_real("fresnel_ei argument", z)
     return complex(_fresnel_ei_array(np.asarray([z]))[0])
 
 
@@ -153,7 +151,7 @@ def fresnel_ei_grid(zs):
 
     Parameters
     ----------
-    zs : array_like of float
+    zs : 1-D array_like of int or float
         Arguments; order is preserved in the output.
 
     Returns
@@ -163,11 +161,6 @@ def fresnel_ei_grid(zs):
     Raises
     ------
     DomainError
-        If any entry is not finite; the message names the first bad index.
+        If ``zs`` is not 1-D, real and finite; the message names the first bad index.
     """
-    zs = np.asarray(zs, dtype=float)
-    bad = ~np.isfinite(zs)
-    if np.any(bad):
-        idx = int(np.flatnonzero(bad)[0])
-        raise DomainError(f"fresnel_ei_grid: non-finite argument at index {idx}")
-    return _fresnel_ei_array(zs)
+    return _fresnel_ei_array(_checked_array("fresnel_ei_grid arguments", zs))

@@ -35,10 +35,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _checked_count, _checked_real
 from .pattern import combine_components, pattern_components
 from .sampling import DEFAULT_GRID_POINTS, HitSet, _checked_hits, _window_grid
-from .slits import ApertureGeometry, _checked_count, _checked_real
+from .slits import ApertureGeometry
 
 DEFAULT_SURFACE_POINTS = 181
 _GAP_NATS = 1e-9            # certified distance of the circle fit below its maximum
@@ -157,8 +157,7 @@ class _LikelihoodContext:
 
     def prefix(self, n):
         """A view of this context restricted to the first n hits."""
-        if not 0 <= n <= self.n:
-            raise DomainError(f"prefix length {n} out of range")
+        n = _checked_count("prefix length", n, 0, self.n + 1)
         sub = object.__new__(_LikelihoodContext)
         sub.norm_a, sub.norm_b, sub.norm_c = self.norm_a, self.norm_b, self.norm_c
         sub.hit_a = self.hit_a[:n]

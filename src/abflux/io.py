@@ -16,7 +16,7 @@ from dataclasses import fields
 import numpy as np
 
 from ._version import __version__
-from .errors import DomainError
+from .errors import DomainError, _checked_array
 from .pattern import FluxState
 from .sampling import HitSet, SampleConfig
 from .slits import ApertureGeometry
@@ -127,8 +127,10 @@ def read_csv(path):
                         raise DomainError(
                             f"{path}:{line_no}: comment is not of the form '# key=value'"
                         )
-                    key, value = body.split("=", 1)
-                    comments[key.strip()] = value.strip()
+                    key, value = (part.strip() for part in body.split("=", 1))
+                    if key in comments:
+                        raise DomainError(f"{path}:{line_no}: repeated comment key '{key}'")
+                    comments[key] = value
                     continue
                 header = [name.strip() for name in line.split(",")]
         except UnicodeDecodeError as exc:
@@ -325,11 +327,9 @@ def write_pgm(path, values):
     255 exactly; tiny negative round-off is clipped to zero first.  Rows
     of ``values`` become raster rows.
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.size == 0:
+    values = _checked_array("heatmap values", values, (2,))
+    if values.size == 0:
         raise DomainError("heatmap values must form a non-empty 2-D matrix")
-    if not np.all(np.isfinite(values)):
-        raise DomainError("heatmap values must be finite")
     clipped = np.maximum(values, 0.0)
     peak = clipped.max()
     if peak > 0.0:
@@ -357,5 +357,7 @@ def read_pgm(path):
         raise DomainError(f"{path}: malformed graymap header") from None
     if maxval != 255:
         raise DomainError(f"{path}: expected maxval 255, got {maxval}")
-    raster = np.frombuffer(parts[3], dtype=np.uint8, count=width * height)
+    raster = np.frombuffer(parts[3], dtype=np.uint8)
+    if not (width > 0 and height > 0 and raster.size == width * height):
+        raise DomainError(f"{path}: header {width}x{height} does not fit {raster.size} bytes")
     return raster.reshape(height, width)

@@ -34,15 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .slits import (
-    ApertureGeometry,
-    _checked_count,
-    _checked_real,
-    _checked_window,
-    _validate_positions,
-    slit_amplitude_pair,
-)
+from .errors import DomainError, _checked_array, _checked_count, _checked_real, _checked_window
+from .slits import ApertureGeometry, _validate_positions, slit_amplitude_pair
 
 # gaussian-unit constants used only by flux_parameter
 HBAR_CGS = 1.054571817e-27       # erg s
@@ -101,11 +94,9 @@ class ScreenGrid:
     positions: np.ndarray
 
     def __post_init__(self):
-        positions = np.asarray(self.positions, dtype=float)
-        if positions.ndim != 1 or positions.size == 0:
+        positions = _checked_array("screen grid positions", self.positions)
+        if positions.size == 0:
             raise DomainError("a screen grid needs at least one position")
-        if not np.all(np.isfinite(positions)):
-            raise DomainError("screen grid positions must be finite")
         if positions.size > 1 and not np.all(np.diff(positions) > 0):
             raise DomainError("screen grid positions must be strictly increasing")
         object.__setattr__(self, "positions", positions)
@@ -127,9 +118,9 @@ class DensityGrid:
 
     def __post_init__(self):
         positions = ScreenGrid(self.positions).positions
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != positions.shape or not np.isfinite(values).all():
-            raise DomainError("density values must be finite, one per position")
+        values = _checked_array("density values", self.values)
+        if values.shape != positions.shape:
+            raise DomainError("density values must be one per position")
         peak = float(np.max(values, initial=0.0))
         if np.any(values < -_NEGATIVE_TOLERANCE * max(peak, 1.0)):
             raise DomainError("density values must be non-negative")

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDistributionError, DomainError
+from .errors import (DegenerateDistributionError, DomainError, _checked_array,
+                     _checked_count, _checked_window)
 from .pattern import FluxState, density
-from .slits import DEFAULT_WINDOW, ApertureGeometry, _checked_count, _checked_window
+from .slits import DEFAULT_WINDOW, ApertureGeometry
 
 DEFAULT_GRID_POINTS = 8192
 
@@ -47,13 +48,9 @@ class SampleConfig:
 
 
 def _checked_hits(positions, window):
-    """Hit positions as a 1-D float array inside the window, ends included;
-    a float array passes uncopied."""
-    positions = np.asarray(positions, dtype=float)
-    if positions.ndim != 1:
-        raise DomainError("hit positions must be a 1-D array")
+    """Hit positions as a 1-D float array inside the window, ends included."""
+    positions = _checked_array("hit positions", positions)
     x_min, x_max = _checked_window(window)
-    # min and max are nan if any position is, and nan fails both comparisons
     if positions.size and not (positions.min() >= x_min and positions.max() <= x_max):
         raise DomainError(f"hit positions must lie inside the window {window!r}")
     return positions

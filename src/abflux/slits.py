@@ -21,13 +21,11 @@ every density but is kept, so the amplitude is the literal expression above.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _checked_array, _checked_real
 from .fresnel import _fresnel_ei_array
 
 # Planck constant, J s (exact SI value)
@@ -36,45 +34,6 @@ PLANCK_CONSTANT = 6.62607015e-34
 # Default screen window, m.  Covers roughly 14 fringes of the Jonsson
 # layout (fringe spacing ~2.75e-6 m there).
 DEFAULT_WINDOW = (-2.0e-5, 2.0e-5)
-
-
-def _checked_window(window):
-    """A screen window as floats (x_min, x_max), both finite, x_min < x_max."""
-    x_min, x_max = window
-    x_min, x_max = _checked_real("window x_min", x_min), _checked_real("window x_max", x_max)
-    if not x_min < x_max:
-        raise DomainError(f"window must satisfy x_min < x_max, got {window!r}")
-    return x_min, x_max
-
-
-def _checked_count(name, value, low=None, high=None):
-    """``value`` as an int: an integral number (1e4 passes; 2.5, True and '7'
-    do not) with low <= value < high where those bounds are given."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-            isinstance(value, numbers.Integral) or float(value).is_integer()):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    count = int(value)
-    if low is not None and count < low:
-        raise DomainError(f"{name} must be at least {low}, got {value!r}")
-    if high is not None and count >= high:
-        raise DomainError(f"{name} must be below {high}, got {value!r}")
-    return count
-
-
-def _checked_real(name, value, low=-math.inf, high=math.inf):
-    """``value`` as a float: a finite real number (1 and numpy floats pass;
-    True, '0.5' and nan do not) with low <= value <= high."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise DomainError(f"{name} must be a real number, got {value!r}")
-    try:
-        real = float(value)
-    except OverflowError:
-        raise DomainError(f"{name} must be within float range") from None
-    if not math.isfinite(real):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    if not low <= real <= high:
-        raise DomainError(f"{name} must lie in [{low!r}, {high!r}], got {value!r}")
-    return real
 
 
 def _store_positive(instance):
@@ -157,15 +116,8 @@ def geometry_constants(geometry: ApertureGeometry) -> GeometryConstants:
 
 
 def _validate_positions(x):
-    """Screen positions as a 1-D float array, a scalar as one element; a
-    float array passes uncopied.  More dimensions and non-finite values are
-    refused."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.ndim != 1:
-        raise DomainError(f"screen positions must be a scalar or 1-D, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise DomainError("screen positions must be finite")
-    return x
+    """Screen positions as a 1-D float array, a scalar as one element."""
+    return np.atleast_1d(_checked_array("screen positions", x, (0, 1)))
 
 
 def slit_amplitude_pair(geometry: ApertureGeometry, x):

@@ -14,6 +14,7 @@ from abflux.errors import DomainError
 from abflux.inference import (
     Checkpoint,
     SequentialTrace,
+    _LikelihoodContext,
     discriminate,
     fit_mle,
     log_likelihood,
@@ -26,6 +27,7 @@ from abflux.slits import DEFAULT_WINDOW, ApertureGeometry
 
 _GEOMETRY = ApertureGeometry.jonsson()
 _HITS = sample_hits(_GEOMETRY, FluxState(1.0, 1.0), SampleConfig(n_hits=20, seed=3))
+_CONTEXT = _LikelihoodContext(_HITS.positions, _GEOMETRY, DEFAULT_WINDOW)
 _TRACE = SequentialTrace(tuple(Checkpoint(n, 0.0, 0.0, 0.5 * n + (n > 40) * n)
                                 for n in range(10, 90, 10)))
 
@@ -49,6 +51,7 @@ _COUNTS = {
     "fit_mle.phi_points": (
         lambda v: fit_mle(_HITS, theta_points=3, phi_points=v).loglik.shape, 1),
     "segment_slopes.split_index": (lambda v: segment_slopes(_TRACE, v), 7),
+    "_LikelihoodContext.prefix": (lambda v: _CONTEXT.prefix(v).hit_a.tolist(), 21),
     "sequential_trace.checkpoint": (
         lambda v: sequential_trace(_HITS, checkpoint_schedule=(v, 20)), 0),
     "ScreenGrid.uniform": (

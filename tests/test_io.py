@@ -75,6 +75,9 @@ def test_read_csv_reports_line_numbers(tmp_path):
     path.write_text("")
     with pytest.raises(DomainError, match="no header"):
         read_csv(path)
+    path.write_text("# seed=5\n# a=1\n# seed=9\nx,y\n")
+    with pytest.raises(DomainError, match="bad.csv:3: repeated comment key 'seed'"):
+        read_csv(path)
 
 
 def test_hits_reader_checks_header(tmp_path, small_hits):
@@ -158,6 +161,15 @@ def test_pgm_rejects_bad_input(tmp_path):
         write_pgm(path, np.array([1.0, 2.0]))
     with pytest.raises(DomainError):
         write_pgm(path, np.array([[np.nan, 1.0]]))
+
+
+def test_read_pgm_checks_header_against_raster(tmp_path):
+    path = tmp_path / "img.pgm"
+    # a truncated raster, a long one, and sizes that are not positive
+    for width, height, size in ((2, 2, 3), (2, 2, 5), (-1, 2, 4), (0, 0, 0)):
+        path.write_bytes(f"P5\n{width} {height}\n255\n".encode() + bytes(size))
+        with pytest.raises(DomainError, match=f"img.pgm: header {width}x{height} does not fit"):
+            read_pgm(path)
 
 
 # Floats whose shortest repr covers signed zero, subnormals, the largest
