@@ -58,19 +58,26 @@ def _checked_window(window):
 _DIMENSIONS = {(0, 1): "a scalar or 1-D", (1,): "1-D", (2,): "2-D"}
 
 
-def _checked_array(name, values, ndim=(1,)):
+def _checked_array(name, values, ndim=(1,), window=None):
     """``values`` as a float64 array with a dimension count in ``ndim`` and
-    every value finite.  Integer and float arrays pass, a float64 array
-    uncopied; bool, text, object and complex arrays do not.  A non-finite
-    value is named by its index in the flattened array."""
+    every value finite, and inside ``window``, ends included, where one is
+    given.  Integer and float arrays pass, a float64 array uncopied; bool,
+    text, object and complex arrays do not.  A non-finite value is named by
+    its index in the flattened array."""
     array = np.asarray(values)
     if array.dtype.kind not in "iuf":
         raise DomainError(f"{name} must be real numbers, got {array.dtype} values")
     if array.ndim not in ndim:
         raise DomainError(f"{name} must be {_DIMENSIONS[ndim]}, got shape {array.shape}")
     array = array.astype(float, copy=False)
-    # min and max are nan or infinite if any value is, and allocate nothing
-    if array.size and not (math.isfinite(array.min()) and math.isfinite(array.max())):
-        index = int(np.flatnonzero(~np.isfinite(array))[0])
-        raise DomainError(f"{name} must be finite, got {array.flat[index]} at index {index}")
+    if array.size:
+        # min and max are nan or infinite if any value is, and allocate nothing
+        low, high = array.min(), array.max()
+        if not (math.isfinite(low) and math.isfinite(high)):
+            index = int(np.flatnonzero(~np.isfinite(array))[0])
+            raise DomainError(f"{name} must be finite, got {array.flat[index]} at index {index}")
+    if window is not None:
+        x_min, x_max = _checked_window(window)
+        if array.size and not (x_min <= low and high <= x_max):
+            raise DomainError(f"{name} must lie inside the window {window!r}")
     return array

@@ -2,10 +2,13 @@
 
 The screen density is A(x) + B(x) cos(phi) + C(x) sin(phi) cos(theta)
 with geometry-only components A, B, C, so a likelihood evaluation needs
-the components once per hit set while every (theta, phi) cell costs one
-fused pass over the hits.  Normalization over the window is exact in the
-same decomposition: the trapezoid integral of the density is the same
-linear combination of the component integrals.
+the components once per hit set.  A hit's term is then log A plus
+log(1 + c B/A + s C/A) at the cell's disk point (c, s), and the factors of a
+group of hits share one log through their product; hits where the density
+can come close to zero keep the term log(A + B c + C s) as it stands.
+Normalization over the window is exact in the same decomposition: the
+trapezoid integral of the density is the same linear combination of the
+component integrals.
 
 Estimation is unbinned maximum likelihood.  The density depends on (theta,
 phi) only through c = cos(phi) and s = sin(phi) cos(theta), a point of the
@@ -52,6 +55,9 @@ _FLAT_GAP_NATS = 10.0       # theta is unidentified when the best fit beats
                             # Flat data stays below ~4 nats, identified cases
                             # reach hundreds even at n = 1e3
 _CELL_BLOCK = 1 << 16       # hits-by-cells elements per loglik_cells buffer
+_FLAG_RATIO = 1e-5          # a hit whose density can fall below this share
+                            # of A keeps its raw log-density term
+_GROUP = 32                 # hits whose factors share one log
 
 
 def canonical_angles(theta, phi):
@@ -75,13 +81,33 @@ class Checkpoint(NamedTuple):
     llr: float
 
 
+class _OnFirstRead:
+    """A dataclass field that may be given as a function of no arguments:
+    the first read calls it and keeps what it returns."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            # no class-level value, so the dataclass sees no default
+            raise AttributeError(self.slot)
+        value = obj.__dict__[self.slot]
+        if callable(value):
+            value = obj.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value
+
+
 @dataclass(frozen=True)
 class LikelihoodSurface:
     """Log-likelihood over a (theta, phi) grid plus the likelihood maximum."""
 
     theta_grid: np.ndarray
     phi_grid: np.ndarray
-    loglik: np.ndarray          # shape (len(theta_grid), len(phi_grid)), nats
+    loglik: np.ndarray = _OnFirstRead()   # (len(theta_grid), len(phi_grid)), nats
     theta_hat: float
     phi_hat: float
     loglik_max: float
@@ -142,29 +168,67 @@ def segment_slopes(trace: SequentialTrace, split_index: int):
 
 
 class _LikelihoodContext:
-    """Pattern components at the hit positions and on the normalization
-    grid, with log-likelihood evaluation for single cells and cell batches."""
+    """Pattern components at the hit positions and their integrals over the
+    window, with log-likelihood evaluation for single cells and cell batches.
+
+    A hit whose smallest density over the disk, A - hypot(B, C), is at least
+    _FLAG_RATIO * A is kept as log A and the ratios B / A, C / A.  The other
+    hits are flagged: they keep their raw A, B, C, and flag_at holds their
+    indices.  Each of the three per-hit arrays holds the kept hits in hit
+    order followed by the flagged ones, so a prefix of the hits is a prefix
+    of each part.
+    """
 
     def __init__(self, positions, geometry, window, grid_points=DEFAULT_GRID_POINTS):
         positions = _checked_hits(positions, window)
         grid = _window_grid(window, grid_points)
-        grid_a, grid_b, grid_c = pattern_components(geometry, grid)
-        self.norm_a = float(np.trapezoid(grid_a, grid))
-        self.norm_b = float(np.trapezoid(grid_b, grid))
-        self.norm_c = float(np.trapezoid(grid_c, grid))
-        self.hit_a, self.hit_b, self.hit_c = pattern_components(geometry, positions)
-        self.n = positions.size
+        norms = [float(np.trapezoid(v, grid)) for v in pattern_components(geometry, grid)]
+        self._adopt(norms, *pattern_components(geometry, positions))
+
+    @classmethod
+    def from_components(cls, norms, a, b, c):
+        """A context over hits with components a, b, c (arrays this takes
+        over and overwrites) and window integrals norms = (N_A, N_B, N_C)."""
+        ctx = object.__new__(cls)
+        ctx._adopt(norms, a, b, c)
+        return ctx
+
+    def _adopt(self, norms, a, b, c):
+        self.norm_a, self.norm_b, self.norm_c = norms
+        self.n = a.size
+        ratio = np.hypot(b, c)
+        ratio /= a
+        kept = ratio <= 1.0 - _FLAG_RATIO   # false for A = 0
+        del ratio   # freed before the copies below
+        self.flag_at = np.flatnonzero(~kept)
+        # each array holds its kept hits in front and its flagged ones behind
+        m = self.n - self.flag_at.size
+        if m < self.n:
+            for x in (a, b, c):
+                x[m:], x[:m] = x[self.flag_at], x[kept]
+        self.flag_a, self.flag_b, self.flag_c = a[m:], b[m:], c[m:]
+        self.ratio_b = np.divide(b[:m], a[:m], out=b[:m])
+        self.ratio_c = np.divide(c[:m], a[:m], out=c[:m])
+        self.log_a = np.log(a[:m], out=a[:m])
 
     def prefix(self, n):
         """A view of this context restricted to the first n hits."""
         n = _checked_count("prefix length", n, 0, self.n + 1)
         sub = object.__new__(_LikelihoodContext)
         sub.norm_a, sub.norm_b, sub.norm_c = self.norm_a, self.norm_b, self.norm_c
-        sub.hit_a = self.hit_a[:n]
-        sub.hit_b = self.hit_b[:n]
-        sub.hit_c = self.hit_c[:n]
         sub.n = n
+        j = int(np.searchsorted(self.flag_at, n))
+        sub.flag_at, sub.flag_a = self.flag_at[:j], self.flag_a[:j]
+        sub.flag_b, sub.flag_c = self.flag_b[:j], self.flag_c[:j]
+        sub.log_a, sub.ratio_b, sub.ratio_c = (
+            self.log_a[:n - j], self.ratio_b[:n - j], self.ratio_c[:n - j])
         return sub
+
+    def slopes(self):
+        """Per-hit g_i = N_A (B_i, C_i) / A_i - (N_B, N_C), kept hits first."""
+        g1 = np.concatenate((self.ratio_b, self.flag_b / self.flag_a))
+        g2 = np.concatenate((self.ratio_c, self.flag_c / self.flag_a))
+        return self.norm_a * g1 - self.norm_b, self.norm_a * g2 - self.norm_c
 
     def loglik(self, theta, phi):
         return float(self._loglik_disk(np.cos([phi]), np.sin([phi]) * np.cos([theta]))[0])
@@ -178,26 +242,47 @@ class _LikelihoodContext:
 
     def _loglik_disk(self, c, s):
         """Log-likelihood at the disk points (c, s), -inf where a hit's
-        density is not positive.  Points go in blocks of _CELL_BLOCK
+        density is not positive.
+
+        A kept hit's term is log A + log(1 + c B/A + s C/A).  Its factor lies
+        in [_FLAG_RATIO, 2], so halving passes multiply the factors into
+        products of at most _GROUP, which stay far from underflow and
+        overflow, and each product takes one log.  A flagged hit's term is
+        log(A + B c + C s) as it stands.  Points go in blocks of _CELL_BLOCK
         hits-by-points elements through two reused buffers, so the work
         stays in cache and nothing is allocated per block."""
         out = np.empty(c.size)
+        m, j = self.ratio_b.size, self.flag_at.size
         rows = max(1, min(c.size, _CELL_BLOCK // max(self.n, 1)))
         v = np.empty((rows, self.n))
-        w = np.empty((rows, self.n))
+        w = np.empty((rows, max(m, j)))   # s C / A of the kept hits, or s C of the flagged
         # a zero density logs to -inf and a negative one to nan
         with np.errstate(divide="ignore", invalid="ignore"):
             for i in range(0, c.size, rows):
                 k = min(rows, c.size - i)
+                ck, sk = c[i:i + k, None], s[i:i + k, None]
                 vk, wk = v[:k], w[:k]
-                np.multiply(c[i:i + k, None], self.hit_b, out=vk)
-                vk += self.hit_a
-                np.multiply(s[i:i + k, None], self.hit_c, out=wk)
-                vk += wk
-                np.log(vk, out=vk)
-                np.sum(vk, axis=1, out=out[i:i + k])
+                np.multiply(ck, self.ratio_b, out=vk[:, :m])
+                vk[:, :m] += 1.0
+                np.multiply(sk, self.ratio_c, out=wk[:, :m])
+                vk[:, :m] += wk[:, :m]
+                size, groups = m, -(-m // _GROUP)
+                while size > groups:
+                    half = -(-size // 2)
+                    vk[:, :size - half] *= vk[:, half:size]
+                    size = half
+                # the flagged hits' densities follow the products
+                flagged = vk[:, size:size + j]
+                np.multiply(ck, self.flag_b, out=flagged)
+                flagged += self.flag_a
+                np.multiply(sk, self.flag_c, out=wk[:, :j])
+                flagged += wk[:, :j]
+                np.log(vk[:, :size + j], out=vk[:, :size + j])
+                np.sum(vk[:, :size + j], axis=1, out=out[i:i + k])
+        out -= self.n * np.log(self.norm_a + c * self.norm_b + s * self.norm_c)
+        out += self.log_a.sum()
         out[np.isnan(out)] = -np.inf
-        return out - self.n * np.log(self.norm_a + c * self.norm_b + s * self.norm_c)
+        return out
 
 
 def _resolve_inputs(hits, geometry, window, grid_points):
@@ -232,7 +317,8 @@ def log_likelihood(hits, geometry=None, theta=None, phi=None, window=None,
     ctx = _LikelihoodContext(*_resolve_inputs(hits, geometry, window, grid_points))
     value = ctx.loglik(theta, phi)
     if value == -math.inf:
-        components = (ctx.hit_a, ctx.hit_b, ctx.hit_c)
+        # only a flagged hit's density can reach zero
+        components = (ctx.flag_a, ctx.flag_b, ctx.flag_c)
         zeros = np.count_nonzero(combine_components(components, theta, phi) <= 0.0)
         warnings.warn(
             f"{zeros} of {ctx.n} hits sit where the model density is zero; "
@@ -369,8 +455,8 @@ def fit_mle(hits, geometry=None, window=None, theta_points=DEFAULT_SURFACE_POINT
 
     The estimate is the likelihood maximum over the (c, s) disk, the same
     solve as :func:`discriminate`.  The returned ``theta_points`` x
-    ``phi_points`` surface over [0, pi] x [0, pi] is an output only; no
-    cell of it exceeds the maximum.
+    ``phi_points`` surface over [0, pi] x [0, pi] is an output only, built
+    when ``loglik`` is first read; no cell of it exceeds the maximum.
 
     Returns a :class:`LikelihoodSurface`; ``theta_flat`` is set when the
     fit cannot reject the zero-phase family (phi = 0 or phi = pi, inside
@@ -383,11 +469,14 @@ def fit_mle(hits, geometry=None, window=None, theta_points=DEFAULT_SURFACE_POINT
     theta_grid = np.linspace(0.0, np.pi, _checked_count("theta_points", theta_points, 2))
     phi_grid = np.linspace(0.0, np.pi, _checked_count("phi_points", phi_points, 2))
     best = _discriminate_ctx(ctx)
-    mesh_t, mesh_p = np.meshgrid(theta_grid, phi_grid, indexing="ij")
-    matrix = ctx.loglik_cells(mesh_t.ravel(), mesh_p.ravel()).reshape(mesh_t.shape)
+
+    def surface():
+        mesh_t, mesh_p = np.meshgrid(theta_grid, phi_grid, indexing="ij")
+        return ctx.loglik_cells(mesh_t.ravel(), mesh_p.ravel()).reshape(mesh_t.shape)
+
     zero_phase = max(ctx.loglik(0.0, 0.0), ctx.loglik(0.0, np.pi))
     return LikelihoodSurface(
-        theta_grid=theta_grid, phi_grid=phi_grid, loglik=matrix,
+        theta_grid=theta_grid, phi_grid=phi_grid, loglik=surface,
         theta_hat=best.theta_hat, phi_hat=best.phi_hat,
         loglik_max=best.loglik_superposition,
         theta_flat=bool(best.loglik_superposition - zero_phase < _FLAT_GAP_NATS),
@@ -409,8 +498,7 @@ def discriminate(hits, geometry=None, window=None, grid_points=None):
 
 
 def _discriminate_ctx(ctx):
-    g1 = ctx.norm_a * ctx.hit_b / ctx.hit_a - ctx.norm_b
-    g2 = ctx.norm_a * ctx.hit_c / ctx.hit_a - ctx.norm_c
+    g1, g2 = ctx.slopes()
     loglik_definite, direction, definite_phi = _fit_definite(ctx, g1, g2)
     theta_hat = 0.0 if direction == "up" else np.pi
     phi_hat, loglik_sup = definite_phi, loglik_definite

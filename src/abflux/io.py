@@ -256,11 +256,13 @@ def write_panel_csv(path, x, param_name, param_values, matrix, comments):
     ``matrix`` has shape ``(len(param_values), len(x))``; rows are emitted
     parameter-slice by parameter-slice as ``x_m,<param_name>,density``.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape != (len(param_values), len(x)):
+    x = _checked_array("panel positions", x)
+    param_values = _checked_array("panel parameter values", param_values)
+    matrix = _checked_array("panel matrix", matrix, (2,))
+    if matrix.shape != (param_values.size, x.size):
         raise DomainError(
             f"panel matrix shape {matrix.shape} does not match "
-            f"{len(param_values)} parameter values x {len(x)} positions"
+            f"{param_values.size} parameter values x {x.size} positions"
         )
 
     x_texts = list(_float_texts(x))

@@ -17,7 +17,7 @@ from abflux import errors, fresnel, io, pattern, sampling, slits
 from abflux.errors import DomainError
 from abflux.fresnel import fresnel_ei, fresnel_ei_grid
 from abflux.inference import discriminate, fit_mle, log_likelihood
-from abflux.io import write_pgm
+from abflux.io import write_panel_csv, write_pgm
 from abflux.pattern import (
     DensityGrid,
     FluxState,
@@ -64,6 +64,14 @@ _ARRAYS = {
                            lambda v: DensityGrid(_LINE, v, _GEOMETRY, _FLUX)),
     "fresnel_ei_grid": ("fresnel_ei_grid arguments", _LINE, fresnel_ei_grid),
     "write_pgm": ("heatmap values", _MATRIX, lambda v: write_pgm(os.devnull, v)),
+    "write_panel_csv.x": ("panel positions", _LINE, lambda v: write_panel_csv(
+        os.devnull, v, "theta", _LINE[:2], _MATRIX[:, [0, 1, 1]], [])),
+    "write_panel_csv.param_values": ("panel parameter values", _LINE[:2],
+                                     lambda v: write_panel_csv(
+                                         os.devnull, _LINE, "theta", v,
+                                         _MATRIX[:, [0, 1, 1]], [])),
+    "write_panel_csv.matrix": ("panel matrix", _MATRIX, lambda v: write_panel_csv(
+        os.devnull, _LINE[:2], "theta", _LINE[:2], v, [])),
 }
 
 
@@ -128,6 +136,12 @@ def test_array_messages_name_the_input():
         write_pgm(os.devnull, [1.0, 2.0])
     with pytest.raises(DomainError, match="heatmap values must be finite, got -inf at index 3"):
         write_pgm(os.devnull, [[0.0, 1.0], [2.0, -math.inf]])
+    with pytest.raises(DomainError, match="panel positions must be real numbers, got <U5"):
+        write_panel_csv(os.devnull, ["0", True], "phi", [math.nan], [["1e-6", math.inf]], [])
+    with pytest.raises(DomainError, match="panel parameter values must be finite, got nan"):
+        write_panel_csv(os.devnull, [0.0, 1.0], "phi", [math.nan], [["1e-6", math.inf]], [])
+    with pytest.raises(DomainError, match="panel matrix must be real numbers, got <U32"):
+        write_panel_csv(os.devnull, [0.0, 1.0], "phi", [0.5], [["1e-6", math.inf]], [])
 
 
 def test_fresnel_ei_takes_a_finite_real():
@@ -136,3 +150,14 @@ def test_fresnel_ei_takes_a_finite_real():
     for bad in ("1.5", True, 1.5j, None, math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match="fresnel_ei argument must be"):
             fresnel_ei(bad)
+
+
+def test_hit_positions_check_the_window_after_finiteness():
+    window = (-1.0, 1.0)
+    assert np.array_equal(sampling._checked_hits([-1, 0, 1], window), [-1.0, 0.0, 1.0])
+    with pytest.raises(DomainError, match=r"hit positions must lie inside the window \(-1.0, 1.0\)"):
+        sampling._checked_hits([0.0, 1.5], window)
+    with pytest.raises(DomainError, match="hit positions must be finite, got inf at index 1"):
+        sampling._checked_hits([0.0, math.inf], (1.0, -1.0))
+    with pytest.raises(DomainError, match="window must satisfy x_min < x_max"):
+        sampling._checked_hits([], (1.0, -1.0))

@@ -8,6 +8,7 @@ above the largest values seen over 10+ calibration seeds.
 """
 
 import heapq
+import math
 import types
 
 import numpy as np
@@ -20,6 +21,7 @@ from abflux.inference import (
     HypothesisResult,
     SequentialTrace,
     _CELL_BLOCK,
+    _FLAG_RATIO,
     _LikelihoodContext,
     canonical_angles,
     discriminate,
@@ -28,7 +30,7 @@ from abflux.inference import (
     segment_slopes,
     sequential_trace,
 )
-from abflux.pattern import FluxState
+from abflux.pattern import FluxState, pattern_components
 from abflux.sampling import SampleConfig, sample_hits
 from abflux.slits import DEFAULT_WINDOW
 
@@ -403,6 +405,22 @@ def test_discriminate_scans_no_grid(jonsson, monkeypatch):
     assert sizes == []
 
 
+def test_fit_builds_its_surface_on_first_read(jonsson, monkeypatch):
+    sizes = []
+    original = _LikelihoodContext.loglik_cells
+
+    def counted(self, thetas, phis):
+        sizes.append(np.size(thetas))
+        return original(self, thetas, phis)
+
+    monkeypatch.setattr(_LikelihoodContext, "loglik_cells", counted)
+    surface = fit_mle(make_hits(jonsson, 1.0, 1.2, 500, 9), theta_points=5, phi_points=7)
+    assert sizes == []
+    first = surface.loglik
+    assert sizes == [35] and first.shape == (5, 7)
+    assert surface.loglik is first and sizes == [35]
+
+
 def test_definite_fit_is_the_global_circle_maximum(jonsson):
     # each circle holds a local maximum close to the global one, 1.5e-3 nats
     # below it in the first case and 0.306 nats in the second, that a
@@ -463,21 +481,78 @@ def test_loglik_cells_equal_per_cell_loglik(jonsson):
 def test_loglik_cells_zero_and_negative_density_read_minus_inf():
     # hit 0 has zero density at phi = pi, hit 1 a negative one wherever
     # sin(phi) cos(theta) < -1/2, hit 2 is positive everywhere
-    ctx = object.__new__(_LikelihoodContext)
-    ctx.norm_a, ctx.norm_b, ctx.norm_c = 1.0, 0.2, 0.1
-    ctx.hit_a = np.array([1.0, 1.0, 2.0])
-    ctx.hit_b = np.array([1.0, 0.0, 0.5])
-    ctx.hit_c = np.array([0.0, 2.0, 0.5])
-    ctx.n = 3
+    a, b, c = np.array([1.0, 1.0, 2.0]), np.array([1.0, 0.0, 0.5]), np.array([0.0, 2.0, 0.5])
+    ctx = _LikelihoodContext.from_components((1.0, 0.2, 0.1), a.copy(), b.copy(), c.copy())
     thetas, phis = (m.ravel() for m in np.meshgrid(
         [0.0, 1.0, 2.5, np.pi], [0.0, 1.0, np.pi / 2, 2.5, np.pi], indexing="ij"))
-    density = (ctx.hit_a + np.cos(phis)[:, None] * ctx.hit_b
-               + (np.sin(phis) * np.cos(thetas))[:, None] * ctx.hit_c)
+    density = (a + np.cos(phis)[:, None] * b + (np.sin(phis) * np.cos(thetas))[:, None] * c)
     zero, negative = (density == 0.0).any(axis=1), (density < 0.0).any(axis=1)
     assert zero.any() and negative.any()
     cells = ctx.loglik_cells(thetas, phis)
     assert np.array_equal(np.isneginf(cells), zero | negative)
     assert np.array_equal(cells, _per_cell(ctx, thetas, phis))
+
+
+def _fsum_loglik(components, norms, thetas, phis):
+    """Per-hit log-densities summed exactly, -inf where one is not positive."""
+    a, b, c = components
+    values = []
+    for theta, phi in zip(thetas, phis):
+        cos, sin = math.cos(phi), math.sin(phi) * math.cos(theta)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            total = math.fsum(np.log(a + b * cos + c * sin).tolist())
+        norm = norms[0] + cos * norms[1] + sin * norms[2]
+        values.append(-math.inf if math.isnan(total) else total - a.size * math.log(norm))
+    return np.array(values)
+
+
+def test_loglik_cells_match_a_per_hit_fsum(jonsson):
+    # flagged hits, where |psi+| and |psi-| nearly agree, keep the raw term;
+    # the last hit sits at x = 0, where every phi = pi density is zero
+    hits = make_hits(jonsson, np.pi / 2, np.pi / 2, 3000, 5).positions
+    hits[-1] = 0.0
+    ctx = _LikelihoodContext(hits, jonsson, DEFAULT_WINDOW)
+    assert ctx.flag_at.size > 10 and ctx.flag_at[-1] == hits.size - 1
+    norms = (ctx.norm_a, ctx.norm_b, ctx.norm_c)
+    row = (np.full(181, 0.7), np.linspace(0.0, np.pi, 181))
+    at_pi = (np.linspace(0.0, np.pi, 181), np.full(181, np.pi))
+    for sub, (thetas, phis) in ((ctx, row), (ctx.prefix(hits.size - 1), row),
+                                (ctx.prefix(hits.size - 1), at_pi), (ctx, at_pi)):
+        expected = _fsum_loglik(pattern_components(jonsson, hits[:sub.n]), norms,
+                                thetas, phis)
+        cells = sub.loglik_cells(thetas, phis)
+        finite = np.isfinite(expected)
+        assert np.array_equal(np.isfinite(cells), finite)
+        assert np.all(np.abs(cells[finite] - expected[finite]) <= 1e-12 * np.abs(expected[finite]))
+    assert np.isneginf(ctx.loglik_cells(*at_pi)).all()
+
+
+def test_loglik_products_stay_normal_when_every_factor_is_at_the_floor():
+    # each hit's factor 1 + c B/A at c = 1 is 1 - (1 - tau): a product of a
+    # group of them must neither underflow to 0 nor lose digits as a subnormal
+    n = 5000
+    a = 2.0 ** np.random.default_rng(2).integers(-20, 20, n)
+    floor = 1.0 - (1.0 - _FLAG_RATIO)
+    ctx = _LikelihoodContext.from_components(
+        (1.0, 0.0, 0.0), a.copy(), -(1.0 - _FLAG_RATIO) * a, np.zeros(n))
+    assert ctx.flag_at.size == 0
+    cells = ctx.loglik_cells([0.0, 1.0, np.pi], [0.0, 0.0, 0.0])
+    expected = n * math.log(floor) + math.fsum(np.log(a).tolist())
+    assert np.all(np.abs(cells - expected) <= 1e-12 * abs(expected))
+
+
+def test_prefix_is_a_fresh_context_on_the_first_hits(jonsson):
+    hits = make_hits(jonsson, np.pi / 2, np.pi / 2, 3000, 5).positions
+    ctx = _LikelihoodContext(hits, jonsson, DEFAULT_WINDOW)
+    thetas, phis = np.array([0.0, 0.4, 2.0, np.pi]), np.array([0.3, np.pi, 1.7, 5.0])
+    for k in (0, 1, int(ctx.flag_at[0]), int(ctx.flag_at[0]) + 1, 1500, hits.size):
+        fresh = _LikelihoodContext(hits[:k], jonsson, DEFAULT_WINDOW)
+        sub = ctx.prefix(k)
+        assert np.array_equal(sub.flag_at, fresh.flag_at)
+        assert np.array_equal(sub.loglik_cells(thetas, phis), fresh.loglik_cells(thetas, phis))
+        for theta, phi in zip(thetas, phis):
+            assert sub.loglik(theta, phi) == fresh.loglik(theta, phi)
+        assert all(np.array_equal(x, y) for x, y in zip(sub.slopes(), fresh.slopes()))
 
 
 def test_loglik_cells_on_empty_context(jonsson):
