@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, _checked_count, _checked_real
-from .pattern import combine_components, pattern_components
+from .pattern import pattern_components
 from .sampling import DEFAULT_GRID_POINTS, HitSet, _checked_hits, _window_grid
 from .slits import ApertureGeometry
 
@@ -172,11 +172,11 @@ class _LikelihoodContext:
     window, with log-likelihood evaluation for single cells and cell batches.
 
     A hit whose smallest density over the disk, A - hypot(B, C), is at least
-    _FLAG_RATIO * A is kept as log A and the ratios B / A, C / A.  The other
-    hits are flagged: they keep their raw A, B, C, and flag_at holds their
-    indices.  Each of the three per-hit arrays holds the kept hits in hit
-    order followed by the flagged ones, so a prefix of the hits is a prefix
-    of each part.
+    _FLAG_RATIO * A is kept; the others are flagged, and flag_at holds their
+    indices.  The per-hit arrays hit_a, hit_b, hit_c hold the flagged hits
+    first, in reverse hit order, as their raw A, B and C, and then the kept
+    hits in hit order as log A, B / A and C / A.  So the first n hits are
+    always one run of columns, and a prefix is a view.
     """
 
     def __init__(self, positions, geometry, window, grid_points=DEFAULT_GRID_POINTS):
@@ -196,20 +196,20 @@ class _LikelihoodContext:
     def _adopt(self, norms, a, b, c):
         self.norm_a, self.norm_b, self.norm_c = norms
         self.n = a.size
-        ratio = np.hypot(b, c)
-        ratio /= a
-        kept = ratio <= 1.0 - _FLAG_RATIO   # false for A = 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.hypot(b, c)
+            ratio /= a
+        keep = ratio <= 1.0 - _FLAG_RATIO   # false for A = 0
         del ratio   # freed before the copies below
-        self.flag_at = np.flatnonzero(~kept)
-        # each array holds its kept hits in front and its flagged ones behind
-        m = self.n - self.flag_at.size
-        if m < self.n:
+        self.flag_at = np.flatnonzero(~keep)
+        j = self.flag_at.size
+        if j:
             for x in (a, b, c):
-                x[m:], x[:m] = x[self.flag_at], x[kept]
-        self.flag_a, self.flag_b, self.flag_c = a[m:], b[m:], c[m:]
-        self.ratio_b = np.divide(b[:m], a[:m], out=b[:m])
-        self.ratio_c = np.divide(c[:m], a[:m], out=c[:m])
-        self.log_a = np.log(a[:m], out=a[:m])
+                x[j:], x[:j] = x[keep], x[self.flag_at[::-1]]
+        np.divide(b[j:], a[j:], out=b[j:])
+        np.divide(c[j:], a[j:], out=c[j:])
+        np.log(a[j:], out=a[j:])
+        self.hit_a, self.hit_b, self.hit_c = a, b, c
 
     def prefix(self, n):
         """A view of this context restricted to the first n hits."""
@@ -218,16 +218,17 @@ class _LikelihoodContext:
         sub.norm_a, sub.norm_b, sub.norm_c = self.norm_a, self.norm_b, self.norm_c
         sub.n = n
         j = int(np.searchsorted(self.flag_at, n))
-        sub.flag_at, sub.flag_a = self.flag_at[:j], self.flag_a[:j]
-        sub.flag_b, sub.flag_c = self.flag_b[:j], self.flag_c[:j]
-        sub.log_a, sub.ratio_b, sub.ratio_c = (
-            self.log_a[:n - j], self.ratio_b[:n - j], self.ratio_c[:n - j])
+        sub.flag_at = self.flag_at[:j]
+        cols = slice(self.flag_at.size - j, self.flag_at.size - j + n)
+        sub.hit_a, sub.hit_b, sub.hit_c = self.hit_a[cols], self.hit_b[cols], self.hit_c[cols]
         return sub
 
     def slopes(self):
-        """Per-hit g_i = N_A (B_i, C_i) / A_i - (N_B, N_C), kept hits first."""
-        g1 = np.concatenate((self.ratio_b, self.flag_b / self.flag_a))
-        g2 = np.concatenate((self.ratio_c, self.flag_c / self.flag_a))
+        """Per-hit g_i = N_A (B_i, C_i) / A_i - (N_B, N_C): the kept hits,
+        then the flagged ones, each in hit order."""
+        j = self.flag_at.size
+        g1, g2 = (np.concatenate((x[j:], x[:j][::-1] / self.hit_a[:j][::-1]))
+                  for x in (self.hit_b, self.hit_c))
         return self.norm_a * g1 - self.norm_b, self.norm_a * g2 - self.norm_c
 
     def loglik(self, theta, phi):
@@ -248,39 +249,34 @@ class _LikelihoodContext:
         in [_FLAG_RATIO, 2], so halving passes multiply the factors into
         products of at most _GROUP, which stay far from underflow and
         overflow, and each product takes one log.  A flagged hit's term is
-        log(A + B c + C s) as it stands.  Points go in blocks of _CELL_BLOCK
-        hits-by-points elements through two reused buffers, so the work
-        stays in cache and nothing is allocated per block."""
+        log(A + B c + C s) as it stands, since near a zero of the density
+        1 + c B/A cancels to the rounding of B/A.  Points go in blocks of
+        _CELL_BLOCK hits-by-points elements through two reused buffers, so
+        the work stays in cache and nothing is allocated per block."""
         out = np.empty(c.size)
-        m, j = self.ratio_b.size, self.flag_at.size
-        rows = max(1, min(c.size, _CELL_BLOCK // max(self.n, 1)))
-        v = np.empty((rows, self.n))
-        w = np.empty((rows, max(m, j)))   # s C / A of the kept hits, or s C of the flagged
+        n, j = self.n, self.flag_at.size
+        rows = max(1, min(c.size, _CELL_BLOCK // max(n, 1)))
+        v, w = np.empty((2, rows, n))
         # a zero density logs to -inf and a negative one to nan
         with np.errstate(divide="ignore", invalid="ignore"):
             for i in range(0, c.size, rows):
                 k = min(rows, c.size - i)
-                ck, sk = c[i:i + k, None], s[i:i + k, None]
                 vk, wk = v[:k], w[:k]
-                np.multiply(ck, self.ratio_b, out=vk[:, :m])
-                vk[:, :m] += 1.0
-                np.multiply(sk, self.ratio_c, out=wk[:, :m])
-                vk[:, :m] += wk[:, :m]
-                size, groups = m, -(-m // _GROUP)
+                np.multiply(c[i:i + k, None], self.hit_b, out=vk)
+                vk[:, :j] += self.hit_a[:j]
+                vk[:, j:] += 1.0
+                np.multiply(s[i:i + k, None], self.hit_c, out=wk)
+                vk += wk
+                # the products of the kept factors follow the flagged densities
+                size, groups = n - j, -(-(n - j) // _GROUP)
                 while size > groups:
                     half = -(-size // 2)
-                    vk[:, :size - half] *= vk[:, half:size]
+                    vk[:, j:j + size - half] *= vk[:, j + half:j + size]
                     size = half
-                # the flagged hits' densities follow the products
-                flagged = vk[:, size:size + j]
-                np.multiply(ck, self.flag_b, out=flagged)
-                flagged += self.flag_a
-                np.multiply(sk, self.flag_c, out=wk[:, :j])
-                flagged += wk[:, :j]
-                np.log(vk[:, :size + j], out=vk[:, :size + j])
-                np.sum(vk[:, :size + j], axis=1, out=out[i:i + k])
-        out -= self.n * np.log(self.norm_a + c * self.norm_b + s * self.norm_c)
-        out += self.log_a.sum()
+                np.log(vk[:, :j + size], out=vk[:, :j + size])
+                np.sum(vk[:, :j + size], axis=1, out=out[i:i + k])
+        out -= n * np.log(self.norm_a + c * self.norm_b + s * self.norm_c)
+        out += self.hit_a[j:].sum()
         out[np.isnan(out)] = -np.inf
         return out
 
@@ -318,8 +314,8 @@ def log_likelihood(hits, geometry=None, theta=None, phi=None, window=None,
     value = ctx.loglik(theta, phi)
     if value == -math.inf:
         # only a flagged hit's density can reach zero
-        components = (ctx.flag_a, ctx.flag_b, ctx.flag_c)
-        zeros = np.count_nonzero(combine_components(components, theta, phi) <= 0.0)
+        c, s, j = np.cos(phi), np.sin(phi) * np.cos(theta), ctx.flag_at.size
+        zeros = np.count_nonzero(c * ctx.hit_b[:j] + ctx.hit_a[:j] + s * ctx.hit_c[:j] <= 0.0)
         warnings.warn(
             f"{zeros} of {ctx.n} hits sit where the model density is zero; "
             "log-likelihood is -inf",

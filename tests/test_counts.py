@@ -51,7 +51,7 @@ _COUNTS = {
     "fit_mle.phi_points": (
         lambda v: fit_mle(_HITS, theta_points=3, phi_points=v).loglik.shape, 1),
     "segment_slopes.split_index": (lambda v: segment_slopes(_TRACE, v), 7),
-    "_LikelihoodContext.prefix": (lambda v: _CONTEXT.prefix(v).log_a.tolist(), 21),
+    "_LikelihoodContext.prefix": (lambda v: _CONTEXT.prefix(v).hit_a.tolist(), 21),
     "sequential_trace.checkpoint": (
         lambda v: sequential_trace(_HITS, checkpoint_schedule=(v, 20)), 0),
     "ScreenGrid.uniform": (

@@ -90,12 +90,12 @@ def test_degeneracy_of_loglik(jonsson):
 def test_zero_density_hit_poisons_sum_with_warning(jonsson):
     # the density at x=0 vanishes identically for phi=pi, so a hit there is
     # impossible under that model; the sum must be -inf and reported
-    hits = np.array([0.0, 1.0e-6])
-    with pytest.warns(UserWarning, match="1 of 2 hits"):
-        value = log_likelihood(
-            hits, geometry=jonsson, theta=0.3, phi=np.pi, window=DEFAULT_WINDOW
-        )
-    assert value == -np.inf
+    for hits, count in (([0.0, 1.0e-6], "1 of 2 hits"), ([0.0, 0.0, 1.0e-6], "2 of 3 hits")):
+        with pytest.warns(UserWarning, match=count):
+            value = log_likelihood(
+                np.array(hits), geometry=jonsson, theta=0.3, phi=np.pi, window=DEFAULT_WINDOW
+            )
+        assert value == -np.inf
 
 
 def test_non_finite_angles_rejected(jonsson):
@@ -508,9 +508,11 @@ def _fsum_loglik(components, norms, thetas, phis):
 
 def test_loglik_cells_match_a_per_hit_fsum(jonsson):
     # flagged hits, where |psi+| and |psi-| nearly agree, keep the raw term;
-    # the last hit sits at x = 0, where every phi = pi density is zero
+    # the last hit sits at x = 0, where every phi = pi density is zero, and
+    # three before it a few 1e-13 m away, where it is about 1e-8 against
+    # A and B of about 1e5, so that 1 - B/A would cancel to B/A's rounding
     hits = make_hits(jonsson, np.pi / 2, np.pi / 2, 3000, 5).positions
-    hits[-1] = 0.0
+    hits[-4:] = (-3.0e-13, 2.3e-12, 5.0e-11, 0.0)
     ctx = _LikelihoodContext(hits, jonsson, DEFAULT_WINDOW)
     assert ctx.flag_at.size > 10 and ctx.flag_at[-1] == hits.size - 1
     norms = (ctx.norm_a, ctx.norm_b, ctx.norm_c)
@@ -552,6 +554,45 @@ def test_prefix_is_a_fresh_context_on_the_first_hits(jonsson):
         assert np.array_equal(sub.loglik_cells(thetas, phis), fresh.loglik_cells(thetas, phis))
         for theta, phi in zip(thetas, phis):
             assert sub.loglik(theta, phi) == fresh.loglik(theta, phi)
+        assert all(np.array_equal(x, y) for x, y in zip(sub.slopes(), fresh.slopes()))
+
+
+def _edge_layout(kept, flagged, seed):
+    """Components of kept and flagged hits in a shuffled hit order: a kept
+    hit's hypot(B, C) is at most 0.9 A, a flagged one's is within 1e-5 of A,
+    and every density over the disk stays at least 5e-6 A."""
+    rng = np.random.default_rng(seed)
+    n = kept + flagged
+    a = 1e5 * rng.uniform(0.5, 2.0, n)
+    ratio = np.concatenate((rng.uniform(0.0, 0.9, kept),
+                            rng.uniform(1.0 - 1e-5, 1.0 - 5e-6, flagged)))
+    ratio = rng.permutation(ratio)
+    angle = rng.uniform(-np.pi, np.pi, n)
+    return a, a * ratio * np.cos(angle), a * ratio * np.sin(angle)
+
+
+@pytest.mark.parametrize("kept, flagged", [(0, 150), (64, 100)])
+def test_loglik_kernel_edge_layouts(kept, flagged):
+    # every hit flagged; and flagged hits among kept ones, so that most
+    # prefixes take some hits of each kind
+    components = _edge_layout(kept, flagged, kept + flagged)
+    norms = (1.0, 0.2, 0.1)
+
+    def context(k):
+        return _LikelihoodContext.from_components(norms, *(x[:k].copy() for x in components))
+
+    ctx = context(kept + flagged)
+    assert ctx.flag_at.size == flagged
+    thetas, phis = (m.ravel() for m in np.meshgrid(
+        np.linspace(0.0, np.pi, 7), np.linspace(0.0, 2.0 * np.pi, 9), indexing="ij"))
+    cells = ctx.loglik_cells(thetas, phis)
+    expected = _fsum_loglik(components, norms, thetas, phis)
+    assert np.all(np.abs(cells - expected) <= 1e-12 * np.abs(expected))
+    assert np.array_equal(cells, _per_cell(ctx, thetas, phis))
+    for k in (0, 1, 37, 100, kept + flagged):
+        fresh, sub = context(k), ctx.prefix(k)
+        assert np.array_equal(sub.flag_at, fresh.flag_at)
+        assert np.array_equal(sub.loglik_cells(thetas, phis), fresh.loglik_cells(thetas, phis))
         assert all(np.array_equal(x, y) for x, y in zip(sub.slopes(), fresh.slopes()))
 
 
