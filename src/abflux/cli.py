@@ -48,6 +48,7 @@ from .pattern import (
     ScreenGrid,
     combine_components,
     density_grid,
+    disk_point,
     pattern_components,
 )
 from .sampling import DEFAULT_GRID_POINTS, SampleConfig, sample_hits
@@ -217,12 +218,12 @@ def _param_values(run, stop):
 
 
 def _write_panels(command, run, out_dir, heatmap, param_name, params, panels):
-    """One CSV (and graymap) per panel (name, panel key, panel value, w_b,
-    w_c) of the density A + w_b B + w_c C, one row per entry of params."""
+    """One CSV (and graymap) per panel (name, panel key, panel value, c, s)
+    of the densities at the disk points (c, s), one row per entry of params."""
     x = ScreenGrid.uniform(*run.window(), run["screen_points"]).positions
-    comp_a, comp_b, comp_c = pattern_components(run.geometry(), x)
-    for name, panel_key, panel_value, w_b, w_c in panels:
-        matrix = comp_a + w_b[:, None] * comp_b + w_c[:, None] * comp_c
+    components = pattern_components(run.geometry(), x)
+    for name, panel_key, panel_value, c, s in panels:
+        matrix = combine_components(components, c[:, None], s[:, None])
         path = os.path.join(out_dir, f"{command}_{name}.csv")
         write_panel_csv(path, x, param_name, params, matrix,
                         _panel_comments(command, run, panel_key, panel_value))
@@ -242,7 +243,7 @@ def figure3(out_dir, heatmap, **kwargs):
     run = _merge(kwargs.pop("config_path"), kwargs)
     phis = _param_values(run, 2.0 * np.pi)
     panels = [
-        (name, "panel_theta", theta, np.cos(phis), np.sin(phis) * np.cos(theta))
+        (name, "panel_theta", theta, *disk_point(theta, phis))
         for name, theta in (("theta_0", 0.0), ("theta_pi", np.pi),
                             ("theta_pi_2", np.pi / 2.0))
     ]
@@ -259,8 +260,7 @@ def figure4(out_dir, heatmap, **kwargs):
     run = _merge(kwargs.pop("config_path"), kwargs)
     thetas = _param_values(run, np.pi)
     panels = [
-        (name, "panel_phi", phi, np.full(thetas.size, np.cos(phi)),
-         np.sin(phi) * np.cos(thetas))
+        (name, "panel_phi", phi, *disk_point(thetas, np.full(thetas.size, phi)))
         for name, phi in (("phi_pi_4", np.pi / 4.0), ("phi_pi_2", np.pi / 2.0),
                           ("phi_pi", np.pi))
     ]
@@ -414,7 +414,7 @@ def sweep(thetas_text, phis_text, out_dir, **kwargs):
     for name, flux in points.items():
         grid = DensityGrid(
             positions=screen.positions,
-            values=combine_components(components, flux.theta, flux.phi),
+            values=combine_components(components, *disk_point(flux.theta, flux.phi)),
             geometry=geometry, flux=flux,
         )
         path = os.path.join(out_dir, name)

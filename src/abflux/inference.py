@@ -1,18 +1,17 @@
 """Likelihood inference of flux-superposition parameters from hits.
 
-The screen density is A(x) + B(x) cos(phi) + C(x) sin(phi) cos(theta)
-with geometry-only components A, B, C, so a likelihood evaluation needs
-the components once per hit set.  A hit's term is then log A plus
-log(1 + c B/A + s C/A) at the cell's disk point (c, s), and the factors of a
-group of hits share one log through their product; hits where the density
-can come close to zero keep the term log(A + B c + C s) as it stands.
-Normalization over the window is exact in the same decomposition: the
-trapezoid integral of the density is the same linear combination of the
-component integrals.
+The screen density is A(x) + B(x) c + C(x) s with geometry-only components
+A, B, C and the flux's point (c, s) of the unit disk (pattern.disk_point),
+so a likelihood evaluation needs the components once per hit set and
+takes disk points.  A hit's term is then log A plus log(1 + c B/A + s C/A),
+and the factors of a group of hits share one log through their product;
+hits where the density can come close to zero keep the term
+log(A + B c + C s) as it stands.  Normalization over the window is exact
+in the same decomposition: the trapezoid integral of the density is the
+same combination of the component integrals.
 
-Estimation is unbinned maximum likelihood.  The density depends on (theta,
-phi) only through c = cos(phi) and s = sin(phi) cos(theta), a point of the
-unit disk, and in u = t (1, c, s) on the plane N . u = 1 the log-likelihood
+Estimation is unbinned maximum likelihood over the disk: in
+u = t (1, c, s) on the plane N . u = 1 the log-likelihood
 sum_i log(a_i . u) is concave (Charnes & Cooper, NRLQ 9, 1962): damped
 Newton from the disk centre finds its one maximum without a grid.  When it
 is not inside the disk, the disk's maximum lies on the boundary circle, the
@@ -39,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, _checked_count, _checked_real
-from .pattern import pattern_components
+from .pattern import combine_components, disk_point, pattern_components
 from .sampling import DEFAULT_GRID_POINTS, HitSet, _checked_hits, _window_grid
 from .slits import ApertureGeometry
 
@@ -54,7 +53,7 @@ _FLAT_GAP_NATS = 10.0       # theta is unidentified when the best fit beats
                             # maximum lies inside the disk, not on c = +-1.
                             # Flat data stays below ~4 nats, identified cases
                             # reach hundreds even at n = 1e3
-_CELL_BLOCK = 1 << 16       # hits-by-cells elements per loglik_cells buffer
+_CELL_BLOCK = 1 << 16       # hits-by-points elements per loglik buffer
 _FLAG_RATIO = 1e-5          # a hit whose density can fall below this share
                             # of A keeps its raw log-density term
 _GROUP = 32                 # hits whose factors share one log
@@ -67,7 +66,7 @@ def canonical_angles(theta, phi):
     (pi - theta, 2 pi - phi); this picks the representative with
     phi in [0, pi] after reducing phi mod 2 pi.
     """
-    theta = _checked_real("theta", theta)
+    theta = _checked_real("theta", theta, 0.0, np.pi)
     phi = _checked_real("phi", phi) % (2.0 * np.pi)
     if phi > np.pi:
         return np.pi - theta, 2.0 * np.pi - phi
@@ -231,19 +230,10 @@ class _LikelihoodContext:
                   for x in (self.hit_b, self.hit_c))
         return self.norm_a * g1 - self.norm_b, self.norm_a * g2 - self.norm_c
 
-    def loglik(self, theta, phi):
-        return float(self._loglik_disk(np.cos([phi]), np.sin([phi]) * np.cos([theta]))[0])
-
-    def loglik_cells(self, thetas, phis):
-        """Log-likelihood at paired (theta, phi) arrays, :meth:`loglik` per
-        cell: both evaluate the same disk points with the same kernel."""
-        thetas = np.asarray(thetas, dtype=float)
-        phis = np.asarray(phis, dtype=float)
-        return self._loglik_disk(np.cos(phis), np.sin(phis) * np.cos(thetas))
-
-    def _loglik_disk(self, c, s):
-        """Log-likelihood at the disk points (c, s), -inf where a hit's
-        density is not positive.
+    def loglik(self, c, s):
+        """Log-likelihood at the disk points (c, s), paired scalars or arrays
+        of one shape (a float or an array of that shape), -inf where a
+        hit's density is not positive.
 
         A kept hit's term is log A + log(1 + c B/A + s C/A).  Its factor lies
         in [_FLAG_RATIO, 2], so halving passes multiply the factors into
@@ -253,6 +243,8 @@ class _LikelihoodContext:
         1 + c B/A cancels to the rounding of B/A.  Points go in blocks of
         _CELL_BLOCK hits-by-points elements through two reused buffers, so
         the work stays in cache and nothing is allocated per block."""
+        shape = np.shape(c)
+        c, s = np.ravel(c), np.ravel(s)
         out = np.empty(c.size)
         n, j = self.n, self.flag_at.size
         rows = max(1, min(c.size, _CELL_BLOCK // max(n, 1)))
@@ -275,10 +267,10 @@ class _LikelihoodContext:
                     size = half
                 np.log(vk[:, :j + size], out=vk[:, :j + size])
                 np.sum(vk[:, :j + size], axis=1, out=out[i:i + k])
-        out -= n * np.log(self.norm_a + c * self.norm_b + s * self.norm_c)
+        out -= n * np.log(combine_components((self.norm_a, self.norm_b, self.norm_c), c, s))
         out += self.hit_a[j:].sum()
         out[np.isnan(out)] = -np.inf
-        return out
+        return float(out[0]) if shape == () else out.reshape(shape)
 
 
 def _resolve_inputs(hits, geometry, window, grid_points):
@@ -311,11 +303,13 @@ def log_likelihood(hits, geometry=None, theta=None, phi=None, window=None,
     """
     theta, phi = _checked_real("theta", theta), _checked_real("phi", phi)
     ctx = _LikelihoodContext(*_resolve_inputs(hits, geometry, window, grid_points))
-    value = ctx.loglik(theta, phi)
+    point = disk_point(theta, phi)
+    value = ctx.loglik(*point)
     if value == -math.inf:
         # only a flagged hit's density can reach zero
-        c, s, j = np.cos(phi), np.sin(phi) * np.cos(theta), ctx.flag_at.size
-        zeros = np.count_nonzero(c * ctx.hit_b[:j] + ctx.hit_a[:j] + s * ctx.hit_c[:j] <= 0.0)
+        j = ctx.flag_at.size
+        zeros = np.count_nonzero(
+            combine_components((ctx.hit_a[:j], ctx.hit_b[:j], ctx.hit_c[:j]), *point) <= 0.0)
         warnings.warn(
             f"{zeros} of {ctx.n} hits sit where the model density is zero; "
             "log-likelihood is -inf",
@@ -363,10 +357,10 @@ def _newton_disk(ctx, g1, g2):
 
 
 def _circle_angles(alpha):
-    """(theta, phi) of the circle point (cos alpha, sin alpha), alpha taken
-    into (-pi, pi]: up (0, alpha) from 0 on, down (pi, -alpha) below 0."""
+    """alpha taken into (-pi, pi], and the (theta, phi) of the circle point
+    (cos alpha, sin alpha): up (0, alpha) from 0 on, down (pi, -alpha) below 0."""
     alpha = np.pi - np.mod(np.pi - alpha, 2.0 * np.pi)
-    return np.where(alpha >= 0.0, 0.0, np.pi), np.abs(alpha)
+    return alpha, np.where(alpha >= 0.0, 0.0, np.pi), np.abs(alpha)
 
 
 def _circle_roots(v0, v1, v2):
@@ -441,8 +435,9 @@ def _fit_definite(ctx, g1, g2):
             best = max(best, middle, key=lambda e: e[1])
             push(lo, middle, spare)
             push(middle, hi, spare)
-    theta, phi = _circle_angles(best[0])
-    return ctx.loglik(theta, phi), "up" if theta == 0.0 else "down", float(phi)
+    alpha, theta, phi = _circle_angles(best[0])
+    value = ctx.loglik(math.cos(alpha), math.sin(alpha))
+    return value, "up" if theta == 0.0 else "down", float(phi)
 
 
 def fit_mle(hits, geometry=None, window=None, theta_points=DEFAULT_SURFACE_POINTS,
@@ -468,9 +463,9 @@ def fit_mle(hits, geometry=None, window=None, theta_points=DEFAULT_SURFACE_POINT
 
     def surface():
         mesh_t, mesh_p = np.meshgrid(theta_grid, phi_grid, indexing="ij")
-        return ctx.loglik_cells(mesh_t.ravel(), mesh_p.ravel()).reshape(mesh_t.shape)
+        return ctx.loglik(*disk_point(mesh_t, mesh_p))
 
-    zero_phase = max(ctx.loglik(0.0, 0.0), ctx.loglik(0.0, np.pi))
+    zero_phase = max(ctx.loglik(1.0, 0.0), ctx.loglik(-1.0, 0.0))
     return LikelihoodSurface(
         theta_grid=theta_grid, phi_grid=phi_grid, loglik=surface,
         theta_hat=best.theta_hat, phi_hat=best.phi_hat,
@@ -503,7 +498,7 @@ def _discriminate_ctx(ctx):
         c, s = point
         theta = float(np.arccos(np.clip(s / np.sqrt((1.0 - c) * (1.0 + c)), -1.0, 1.0)))
         phi = float(np.arccos(c))
-        value = ctx.loglik(theta, phi)
+        value = ctx.loglik(c, s)
         # the definite optimum is a point of the superposition family; folding
         # it in makes the nesting inequality exact instead of rounding-limited
         if value > loglik_definite:

@@ -7,13 +7,13 @@ Every density here is a combination of three geometry-only components
     B(x) = 2 Re(psi+* psi-)
     C(x) = -2 Im(psi+* psi-)
 
-with the flux entering only through cos(phi) and sin(phi):
+and the flux enters only through its point of the unit disk,
 
-    up pattern      A + B cos(phi) + C sin(phi)
-    down pattern    A + B cos(phi) - C sin(phi)
-    superposition   A + B cos(phi) + C sin(phi) cos(theta)
+    (c, s) = (cos(phi), sin(phi) cos(theta)),   density A + B c + C s,
 
-where cos^2(theta/2) is the probability of the "up" flux.  The relative
+which disk_point gives and combine_components evaluates.  cos^2(theta/2)
+is the probability of the "up" flux; the up (theta = 0) and down
+(theta = pi) patterns lie on the disk's boundary circle.  The relative
 phase omega between the up and down flux branches never enters any
 density; the superposition density equals the classical mixture of up and
 down patterns with weights cos^2(theta/2) and sin^2(theta/2).
@@ -137,8 +137,8 @@ def pattern_components(geometry: ApertureGeometry, x):
     """The three geometry-only components (A, B, C) at screen positions x.
 
     A = |psi+|^2 + |psi-|^2, B = 2 Re(psi+* psi-), C = -2 Im(psi+* psi-).
-    Every density in this module is A + B cos(phi) + C sin(phi) * w with a
-    weight w in [-1, 1].
+    Every density in this module is A + B c + C s at the flux's disk point
+    (c, s) of :func:`disk_point`.
 
     Positions go through the slit amplitudes and A, B, C in blocks of
     ``_POSITION_BLOCK``, each written into one preallocated (3, n) array
@@ -162,14 +162,17 @@ def pattern_components(geometry: ApertureGeometry, x):
     return out[0], out[1], out[2]
 
 
-def combine_components(components, theta, phi):
-    """A + B cos(phi) + C sin(phi) cos(theta) over precomputed components.
+def disk_point(theta, phi):
+    """The flux's point (c, s) = (cos(phi), sin(phi) cos(theta)) of the unit
+    disk, elementwise over arrays: all the screen sees of (theta, phi).
+    theta = 0 and pi give s = +-sin(phi) exactly."""
+    return np.cos(phi), np.sin(phi) * np.cos(theta)
 
-    theta = 0 and theta = pi give the up and down patterns exactly, since
-    cos(0) and cos(pi) are exactly +1 and -1.
-    """
-    a, b, c = components
-    return a + b * np.cos(phi) + c * np.sin(phi) * np.cos(theta)
+
+def combine_components(components, c, s):
+    """The density A + B c + C s of components (A, B, C) at disk points (c, s)."""
+    comp_a, comp_b, comp_c = components
+    return comp_a + comp_b * c + comp_c * s
 
 
 def basis_density(geometry: ApertureGeometry, phi, direction, x):
@@ -187,7 +190,8 @@ def basis_density(geometry: ApertureGeometry, phi, direction, x):
 def density(geometry: ApertureGeometry, flux: FluxState, x):
     """Screen density for a superposed flux; independent of flux.omega.
     Scalar x gives a float, array x an array."""
-    values = combine_components(pattern_components(geometry, x), flux.theta, flux.phi)
+    values = combine_components(pattern_components(geometry, x),
+                                *disk_point(flux.theta, flux.phi))
     return float(values[0]) if np.ndim(x) == 0 else values
 
 

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from abflux.cli import main
+from abflux.inference import fit_mle, log_likelihood
 from abflux.io import read_csv, read_hits_csv, read_pgm
-from abflux.sampling import sample_hits
+from abflux.pattern import FluxState, density
+from abflux.sampling import SampleConfig, sample_hits
 
 
 HALF_PI = repr(np.pi / 2)
@@ -127,6 +129,27 @@ def test_figure4_panels(tmp_path):
         weight = 0.5 * (1.0 + np.cos(thetas[2]))
         mix = weight * matrix[0] + (1.0 - weight) * matrix[-1]
         assert np.max(np.abs(matrix[2] - mix)) <= 1e-12 * matrix.max()
+
+
+def test_every_path_takes_the_flux_through_one_map(tmp_path, jonsson):
+    # a figure panel's rows, pattern's density and the likelihood surface's
+    # cells all see the flux as the same disk point, to the last bit
+    for command, panel_key, param_key in (("figure3", "theta", "phi"),
+                                          ("figure4", "phi", "theta")):
+        run_ok([command, "--out-dir", str(tmp_path), "--screen-points", "40"])
+        paths = sorted(tmp_path.glob(f"{command}_*.csv"))
+        assert len(paths) == 3
+        for path in paths:
+            comments, _, data = read_csv(path)
+            panel_value = float(comments[f"panel_{panel_key}"])
+            for row in data.reshape(-1, 40, 3):
+                flux = FluxState(**{panel_key: panel_value, param_key: row[0, 1]})
+                assert np.array_equal(row[:, 2], density(jonsson, flux, row[:, 0]))
+    hits = sample_hits(jonsson, FluxState(0.7, 1.9), SampleConfig(n_hits=300, seed=2))
+    surface = fit_mle(hits, theta_points=5, phi_points=7)
+    for i, theta in enumerate(surface.theta_grid):
+        for j, phi in enumerate(surface.phi_grid):
+            assert surface.loglik[i, j] == log_likelihood(hits, theta=theta, phi=phi)
 
 
 def test_simulate_deterministic_and_worker_invariant(tmp_path):

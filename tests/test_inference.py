@@ -30,7 +30,7 @@ from abflux.inference import (
     segment_slopes,
     sequential_trace,
 )
-from abflux.pattern import FluxState, pattern_components
+from abflux.pattern import FluxState, disk_point, pattern_components
 from abflux.sampling import SampleConfig, sample_hits
 from abflux.slits import DEFAULT_WINDOW
 
@@ -80,11 +80,23 @@ def test_single_hit_matches_normalized_density(jonsson):
 
 
 def test_degeneracy_of_loglik(jonsson):
+    # (theta, phi) and (pi - theta, 2 pi - phi) are one disk point up to the
+    # rounding of the mapped angles and of cos and sin, so the two values,
+    # near 1.1e4 here, agree to a few of their ulps (1.8e-12), not closer
     hits = make_hits(jonsson, 0.9, 2.2, 1000, 11)
     for theta, phi in [(0.9, 2.2), (0.3, 1.0), (2.0, 4.5)]:
         direct = log_likelihood(hits, theta=theta, phi=phi)
         mapped = log_likelihood(hits, theta=np.pi - theta, phi=2.0 * np.pi - phi)
-        assert abs(direct - mapped) <= 1e-12
+        assert abs(direct - mapped) <= 4 * np.spacing(abs(direct))
+    rng = np.random.default_rng(0)
+    thetas, phis = rng.uniform(0.0, np.pi, 300), rng.uniform(0.0, 2.0 * np.pi, 300)
+    point = disk_point(thetas, phis)
+    mapped_point = disk_point(np.pi - thetas, 2.0 * np.pi - phis)
+    for x, y in zip(point, mapped_point):
+        assert np.all(np.abs(x - y) <= 4 * np.spacing(1.0))
+    ctx = _LikelihoodContext(hits.positions, jonsson, DEFAULT_WINDOW)
+    direct, mapped = ctx.loglik(*point), ctx.loglik(*mapped_point)
+    assert np.all(np.abs(direct - mapped) <= 4 * np.spacing(np.abs(direct)))
 
 
 def test_zero_density_hit_poisons_sum_with_warning(jonsson):
@@ -392,13 +404,14 @@ def test_boundary_maximum_reports_definite_fit(jonsson):
 def test_discriminate_scans_no_grid(jonsson, monkeypatch):
     # neither the disk nor its boundary circle is scanned
     sizes = []
-    original = _LikelihoodContext.loglik_cells
+    original = _LikelihoodContext.loglik
 
-    def counted(self, thetas, phis):
-        sizes.append(np.size(thetas))
-        return original(self, thetas, phis)
+    def counted(self, c, s):
+        if np.size(c) > 1:
+            sizes.append(np.size(c))
+        return original(self, c, s)
 
-    monkeypatch.setattr(_LikelihoodContext, "loglik_cells", counted)
+    monkeypatch.setattr(_LikelihoodContext, "loglik", counted)
     hits = make_hits(jonsson, np.pi / 2, np.pi / 2, 2000, 53)
     discriminate(hits)
     sequential_trace(hits, checkpoint_schedule=(1000, 2000))
@@ -407,13 +420,14 @@ def test_discriminate_scans_no_grid(jonsson, monkeypatch):
 
 def test_fit_builds_its_surface_on_first_read(jonsson, monkeypatch):
     sizes = []
-    original = _LikelihoodContext.loglik_cells
+    original = _LikelihoodContext.loglik
 
-    def counted(self, thetas, phis):
-        sizes.append(np.size(thetas))
-        return original(self, thetas, phis)
+    def counted(self, c, s):
+        if np.size(c) > 1:
+            sizes.append(np.size(c))
+        return original(self, c, s)
 
-    monkeypatch.setattr(_LikelihoodContext, "loglik_cells", counted)
+    monkeypatch.setattr(_LikelihoodContext, "loglik", counted)
     surface = fit_mle(make_hits(jonsson, 1.0, 1.2, 500, 9), theta_points=5, phi_points=7)
     assert sizes == []
     first = surface.loglik
@@ -432,7 +446,7 @@ def test_definite_fit_is_the_global_circle_maximum(jonsson):
         result = discriminate(hits)
         ctx = _LikelihoodContext(hits.positions, jonsson, DEFAULT_WINDOW)
         alphas = np.linspace(-np.pi, np.pi, 65536, endpoint=False)
-        scan = ctx.loglik_cells(np.where(alphas >= 0.0, 0.0, np.pi), np.abs(alphas))
+        scan = ctx.loglik(*disk_point(np.where(alphas >= 0.0, 0.0, np.pi), np.abs(alphas)))
         assert result.loglik_definite >= scan.max() - 1e-9 * abs(scan.max())
         assert abs(result.definite_phi - best_phi) <= 1e-3
 
@@ -458,12 +472,12 @@ def test_definite_fit_with_a_hit_on_a_fringe_zero(jonsson, monkeypatch):
     assert len(arcs) <= 200
     ctx = _LikelihoodContext(hits, jonsson, window)
     alphas = np.linspace(-np.pi, np.pi, 65536, endpoint=False)
-    scan = ctx.loglik_cells(np.where(alphas >= 0.0, 0.0, np.pi), np.abs(alphas))
+    scan = ctx.loglik(*disk_point(np.where(alphas >= 0.0, 0.0, np.pi), np.abs(alphas)))
     assert result.loglik_definite >= scan.max() - 1e-9 * abs(scan.max())
 
 
 def _per_cell(ctx, thetas, phis):
-    return np.array([ctx.loglik(t, p) for t, p in zip(thetas, phis)])
+    return np.array([ctx.loglik(*disk_point(t, p)) for t, p in zip(thetas, phis)])
 
 
 def test_loglik_cells_equal_per_cell_loglik(jonsson):
@@ -474,7 +488,7 @@ def test_loglik_cells_equal_per_cell_loglik(jonsson):
         hits = make_hits(jonsson, 1.1, 2.3, n, 71)
         ctx = _LikelihoodContext(hits.positions, jonsson, DEFAULT_WINDOW)
         mesh_t, mesh_p = (m.ravel() for m in np.meshgrid(thetas, phis, indexing="ij"))
-        assert np.array_equal(ctx.loglik_cells(mesh_t, mesh_p),
+        assert np.array_equal(ctx.loglik(*disk_point(mesh_t, mesh_p)),
                               _per_cell(ctx, mesh_t, mesh_p))
 
 
@@ -488,7 +502,7 @@ def test_loglik_cells_zero_and_negative_density_read_minus_inf():
     density = (a + np.cos(phis)[:, None] * b + (np.sin(phis) * np.cos(thetas))[:, None] * c)
     zero, negative = (density == 0.0).any(axis=1), (density < 0.0).any(axis=1)
     assert zero.any() and negative.any()
-    cells = ctx.loglik_cells(thetas, phis)
+    cells = ctx.loglik(*disk_point(thetas, phis))
     assert np.array_equal(np.isneginf(cells), zero | negative)
     assert np.array_equal(cells, _per_cell(ctx, thetas, phis))
 
@@ -522,11 +536,11 @@ def test_loglik_cells_match_a_per_hit_fsum(jonsson):
                                 (ctx.prefix(hits.size - 1), at_pi), (ctx, at_pi)):
         expected = _fsum_loglik(pattern_components(jonsson, hits[:sub.n]), norms,
                                 thetas, phis)
-        cells = sub.loglik_cells(thetas, phis)
+        cells = sub.loglik(*disk_point(thetas, phis))
         finite = np.isfinite(expected)
         assert np.array_equal(np.isfinite(cells), finite)
         assert np.all(np.abs(cells[finite] - expected[finite]) <= 1e-12 * np.abs(expected[finite]))
-    assert np.isneginf(ctx.loglik_cells(*at_pi)).all()
+    assert np.isneginf(ctx.loglik(*disk_point(*at_pi))).all()
 
 
 def test_loglik_products_stay_normal_when_every_factor_is_at_the_floor():
@@ -538,7 +552,7 @@ def test_loglik_products_stay_normal_when_every_factor_is_at_the_floor():
     ctx = _LikelihoodContext.from_components(
         (1.0, 0.0, 0.0), a.copy(), -(1.0 - _FLAG_RATIO) * a, np.zeros(n))
     assert ctx.flag_at.size == 0
-    cells = ctx.loglik_cells([0.0, 1.0, np.pi], [0.0, 0.0, 0.0])
+    cells = ctx.loglik(*disk_point([0.0, 1.0, np.pi], [0.0, 0.0, 0.0]))
     expected = n * math.log(floor) + math.fsum(np.log(a).tolist())
     assert np.all(np.abs(cells - expected) <= 1e-12 * abs(expected))
 
@@ -551,9 +565,10 @@ def test_prefix_is_a_fresh_context_on_the_first_hits(jonsson):
         fresh = _LikelihoodContext(hits[:k], jonsson, DEFAULT_WINDOW)
         sub = ctx.prefix(k)
         assert np.array_equal(sub.flag_at, fresh.flag_at)
-        assert np.array_equal(sub.loglik_cells(thetas, phis), fresh.loglik_cells(thetas, phis))
+        assert np.array_equal(sub.loglik(*disk_point(thetas, phis)),
+                              fresh.loglik(*disk_point(thetas, phis)))
         for theta, phi in zip(thetas, phis):
-            assert sub.loglik(theta, phi) == fresh.loglik(theta, phi)
+            assert sub.loglik(*disk_point(theta, phi)) == fresh.loglik(*disk_point(theta, phi))
         assert all(np.array_equal(x, y) for x, y in zip(sub.slopes(), fresh.slopes()))
 
 
@@ -585,22 +600,23 @@ def test_loglik_kernel_edge_layouts(kept, flagged):
     assert ctx.flag_at.size == flagged
     thetas, phis = (m.ravel() for m in np.meshgrid(
         np.linspace(0.0, np.pi, 7), np.linspace(0.0, 2.0 * np.pi, 9), indexing="ij"))
-    cells = ctx.loglik_cells(thetas, phis)
+    cells = ctx.loglik(*disk_point(thetas, phis))
     expected = _fsum_loglik(components, norms, thetas, phis)
     assert np.all(np.abs(cells - expected) <= 1e-12 * np.abs(expected))
     assert np.array_equal(cells, _per_cell(ctx, thetas, phis))
     for k in (0, 1, 37, 100, kept + flagged):
         fresh, sub = context(k), ctx.prefix(k)
         assert np.array_equal(sub.flag_at, fresh.flag_at)
-        assert np.array_equal(sub.loglik_cells(thetas, phis), fresh.loglik_cells(thetas, phis))
+        assert np.array_equal(sub.loglik(*disk_point(thetas, phis)),
+                              fresh.loglik(*disk_point(thetas, phis)))
         assert all(np.array_equal(x, y) for x, y in zip(sub.slopes(), fresh.slopes()))
 
 
 def test_loglik_cells_on_empty_context(jonsson):
     hits = make_hits(jonsson, 1.0, 1.0, 10, 3)
     ctx = _LikelihoodContext(hits.positions, jonsson, DEFAULT_WINDOW).prefix(0)
-    assert ctx.loglik(0.1, 0.2) == 0.0
-    assert np.array_equal(ctx.loglik_cells([0.1], [0.2]), [0.0])
+    assert ctx.loglik(*disk_point(0.1, 0.2)) == 0.0
+    assert np.array_equal(ctx.loglik(*disk_point([0.1], [0.2])), [0.0])
 
 
 def test_likelihood_grid_defaults_to_the_hits_grid(jonsson):

@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from abflux.inference import _LikelihoodContext, discriminate, fit_mle, log_likelihood
-from abflux.pattern import FluxState
+from abflux.pattern import FluxState, disk_point
 from abflux.sampling import SampleConfig, sample_hits
 from abflux.slits import DEFAULT_WINDOW
 
@@ -33,7 +33,7 @@ def test_maximum_dominates_surface_and_truth(jonsson, theta, phi, n, seed):
     assert result.llr >= 0.0
     ctx = _LikelihoodContext(hits.positions, jonsson, DEFAULT_WINDOW)
     alphas = np.linspace(-np.pi, np.pi, 4096, endpoint=False)
-    circle = ctx.loglik_cells(np.where(alphas >= 0.0, 0.0, np.pi), np.abs(alphas))
+    circle = ctx.loglik(*disk_point(np.where(alphas >= 0.0, 0.0, np.pi), np.abs(alphas)))
     assert result.loglik_definite >= np.max(circle) - slack
     assert (result.theta_hat, result.phi_hat, result.loglik_superposition) == (
         surface.theta_hat, surface.phi_hat, surface.loglik_max)

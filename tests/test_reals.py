@@ -60,7 +60,7 @@ _REALS = {
     "mixture_density.phi": (lambda v: mixture_density(_GEOMETRY, v, 0.3, 1e-6), (-1.0,)),
     "mixture_density.p_up": (lambda v: mixture_density(_GEOMETRY, 1.0, v, 1e-6),
                              (-0.1, 1.5)),
-    "canonical_angles.theta": (lambda v: canonical_angles(v, 1.0)[0], ()),
+    "canonical_angles.theta": (lambda v: canonical_angles(v, 1.0)[0], (-1.0, 4.0)),
     "canonical_angles.phi": (lambda v: canonical_angles(1.0, v)[1], ()),
     "log_likelihood.theta": (lambda v: log_likelihood(_HITS, theta=v, phi=1.0), ()),
     "log_likelihood.phi": (lambda v: log_likelihood(_HITS, theta=1.0, phi=v), ()),
