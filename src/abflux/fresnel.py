@@ -1,125 +1,184 @@
 """Complex Fresnel integral E(z) = ∫₀ᶻ exp(iπη²/2) dη for real z.
 
 The real and imaginary parts are the classical Fresnel cosine and sine
-integrals C(z) and S(z).  Every element costs the same: there is no
-convergence test and no Lentz iteration.  Two branches are used:
+integrals C(z) and S(z).  Every element costs the same: two real
+polynomials of fixed degree, evaluated by Horner's rule, per branch.
 
-* |z| <= ``SERIES_CUTOFF``: the Maclaurin series, split into real power
-  series in t = z^4, C = z P(t) and S = z^3 Q(t), each summed by Horner's
-  rule at a fixed term count;
-* above it: the even-contracted continued fraction for the related
-  complementary error function of complex argument (Abramowitz & Stegun
-  §7.3), evaluated bottom-up at a fixed depth.
+* |z| <= ``SERIES_CUTOFF``: E = z P(w) + i z³ Q(w) with w = 2z⁴/cut⁴ − 1
+  in [−1, 1].  P and Q are fits of C(z)/z and S(z)/z³, which are entire
+  functions of z⁴.
+* above it: E = (1+i)/2 − (g + i f) exp(iπz²/2), with the auxiliary
+  functions f = F(v)/(πz) and g = G(v)/(π²z³) of v = 2cut²/z² − 1 in
+  [−1, 1], which covers z from the cutoff to infinity.  The phase takes
+  z² mod 4, its period, from an exact z².
 
-Truncation in both stays far below this module's 1e-12 absolute budget;
-near the cutoff the series' rounding error, ~5e-13, dominates.  Negative
-arguments are mapped to positive ones and the result negated, so E is odd
-exactly.  Each value depends only on its own argument, bit for bit,
-whatever the number of arguments in the call (see the operand order in
-``_continued_fraction``).
+The four polynomials are Chebyshev interpolants computed at 40 digits by
+``tools/fresnel_coefficients.py`` and committed as monomial coefficients,
+none above 1 in magnitude, so no terms cancel.  Their truncation is below
+2e-17 in E; rounding keeps the kernel within 7e-16 of E.  Both branches
+are odd in z exactly: the first is by its form, the second takes |z| and
+restores the sign.  Each value depends only on its own argument, bit for
+bit, whatever the number of arguments in the call.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .errors import _checked_array, _checked_real
 
-# |z| at or below which the power series is used; the continued fraction
-# takes over above.  Chosen so the two branches agree to ~5e-13 in a band
-# around the cutoff (exercised in the test suite).
+# |z| at or below which the fits of C/z and S/z^3 are used; the auxiliary
+# functions take over above.
 SERIES_CUTOFF = 2.5
-
-# Terms of each of P and Q.  The first omitted term of the series,
-# (pi/2)^n z^(2n+1) / (n! (2n+1)) at n = 60, is 7e-19 at z = 2.8, the top
-# of the overlap band the tests evaluate the series on.
-_SERIES_TERMS = 30
-
-# Depth of the continued fraction.  From z = 2.0 on it is within 2.5e-16,
-# a rounding difference, of the fraction taken to depth 200.
-_CF_DEPTH = 26
 
 # Beyond this |z|, E(z) rounds to sign(z) (1+i)/2: the remainder is below
 # 1/(pi |z|) < 4e-18, under half an ulp of 0.5.  Clamping to it also keeps
-# pi z^2 finite.
+# the two-product of z^2 finite.
 _SATURATION = 1e17
 
-# Coefficient of z^(2n+1) in the series for E is (i pi/2)^n / (n! (2n+1));
-# even n feed C, odd n feed S, and i^n alternates the sign in each.
-_COEFFS = [
-    (-1) ** (n // 2) * (math.pi / 2) ** n / (math.factorial(n) * (2 * n + 1))
-    for n in range(2 * _SERIES_TERMS)
-]
-_P_COEFFS = _COEFFS[0::2]
-_Q_COEFFS = _COEFFS[1::2]
+# Generated by tools/fresnel_coefficients.py (mpmath 1.3.0):
+# Chebyshev interpolation at 64 nodes and 40 digits, truncated
+# where the first omitted term is below 2e-17 in E, converted to
+# monomials at the same precision and rounded once to float64.
+# Lowest degree first.
+_P_COEFFS = (
+    0.2774878011488111,
+    0.12830694914629867,
+    -0.34580320787107066,
+    -0.09331354989225173,
+    0.4747376361815251,
+    -0.3905437301391845,
+    0.17394767420477444,
+    -0.051177376859767094,
+    0.01088385723341551,
+    -0.0017658516097032952,
+    0.000226776254897239,
+    -2.3687539979959362e-05,
+    2.0552903314139215e-06,
+    -1.506610397762215e-07,
+    9.46095640345381e-09,
+    -5.149781397894237e-10,
+    2.4714880440216637e-11,
+    -1.038806719610788e-12,
+)
+_Q_COEFFS = (
+    0.0404310668223974,
+    0.00430703772735953,
+    0.06520207980627148,
+    -0.1637908347236842,
+    0.14932202253975496,
+    -0.07623133563229391,
+    0.025536095485929222,
+    -0.006112444041459578,
+    0.00110395407476026,
+    -0.0001563042632643451,
+    1.785170727722397e-05,
+    -1.681685913720221e-06,
+    1.3302629644153692e-07,
+    -8.967174556658419e-09,
+    5.215020747171815e-10,
+    -2.6444768534779466e-11,
+    1.1873402715098124e-12,
+    -4.693699378017137e-14,
+)
+_F_COEFFS = (
+    0.9980962509151085,
+    -0.00372882323578601,
+    -0.0017153134032532765,
+    0.00013409366559720304,
+    1.7372280477326544e-05,
+    -6.696192681819709e-06,
+    6.139205810003667e-07,
+    2.2524584125466655e-07,
+    -1.1196711968154514e-07,
+    2.0189196625639422e-08,
+    3.030014900226538e-09,
+    -3.5592215009785655e-09,
+    1.3293933251553924e-09,
+    -2.3664959160952937e-10,
+    -7.825788794061693e-11,
+    1.1954359561710961e-10,
+    -4.804365033021852e-11,
+    -8.874064187597494e-12,
+    8.065141840730728e-12,
+)
+_G_COEFFS = (
+    0.9906386044435382,
+    -0.018047723320358793,
+    -0.007772005022988184,
+    0.0010776339024491826,
+    8.938860582428822e-05,
+    -6.629106542559815e-05,
+    1.113432145585695e-05,
+    1.587172803317205e-06,
+    -1.5395723387826668e-06,
+    4.4431889205646804e-07,
+    -1.6043008526532905e-08,
+    -5.0167266069287256e-08,
+    2.946260392129735e-08,
+    -8.3793556513846e-09,
+    -1.0921157535284827e-09,
+    2.0678854277381806e-09,
+    -5.733502858976579e-10,
+)
 
 
-def _horner(coeffs, t):
-    """sum_k coeffs[k] t^k by Horner's rule."""
-    acc = np.full_like(t, coeffs[-1])
+def _horner(coeffs, x):
+    """sum_k coeffs[k] x^k by Horner's rule."""
+    acc = np.full_like(x, coeffs[-1])
     for c in coeffs[-2::-1]:
-        acc *= t
+        acc *= x
         acc += c
     return acc
 
 
-def _series(z):
-    """Maclaurin series sum_n (i*pi/2)^n z^(2n+1) / (n! (2n+1)), z >= 0."""
-    z = np.asarray(z, dtype=float)
+def _near_origin(z):
+    """E(z) = z P(w) + i z^3 Q(w), w = 2 z^4 / cut^4 - 1, for |z| <= cut;
+    odd in z exactly."""
     z2 = z * z
-    t = z2 * z2
-    return z * _horner(_P_COEFFS, t) + 1j * (z2 * z * _horner(_Q_COEFFS, t))
+    w = (z2 * z2) * (2.0 / SERIES_CUTOFF**4) - 1.0
+    out = np.empty(z.shape, dtype=complex)
+    out.real = z * _horner(_P_COEFFS, w)
+    out.imag = (z2 * z) * _horner(_Q_COEFFS, w)
+    return out
 
 
-def _continued_fraction(z):
-    """Continued-fraction branch for z > 0, reliable for z above ~2.
-
-    Uses E(z) = (1+i)/2 * [1 - e^{i pi z^2/2} (1-i) z H(z)] where H is the
-    even-contracted continued fraction for the scaled complementary error
-    function at argument sqrt(pi)(1-i)z/2:
-
-        H = 1/(b0 + a1/(b1 + a2/(b2 + ...))),
-        b_k = (1 - i*pi*z^2) + 4k,   a_k = -2k(2k-1),
-
-    truncated after b_k at k = ``_CF_DEPTH`` and evaluated bottom-up.  The
-    phase takes z^2 mod 4, its period, from an exact z^2; a rounded z^2
-    would cost ~z 1e-16.
-    """
-    z = np.asarray(z, dtype=float)
-    turns = _square_mod4(z)
-    b = 1.0 - 1j * (np.pi * z * z)
-    f = b + 4.0 * _CF_DEPTH
-    for k in range(_CF_DEPTH, 0, -1):
-        f = (b + 4.0 * (k - 1)) + (-2.0 * k * (2.0 * k - 1.0)) / f
-    del b   # the arrays alive below stay within the loop's peak memory
-    phase = np.exp(0.5j * np.pi * turns)
-    # The temporary goes on the left: numpy turns `phase * temporary` into
-    # `temporary *= phase` from 256 KiB on, and complex multiply is not
-    # bitwise commutative, so the other order would make values depend on
-    # how many arguments share the call.
-    return (0.5 + 0.5j) * (1.0 - ((1.0 - 1j) * z / f) * phase)
+def _auxiliary(z):
+    """E(z) = sign(z) [(1+i)/2 - (g + i f) exp(i pi z^2 / 2)] for |z| > cut,
+    with f = F(v) / (pi |z|), g = G(v) / (pi^2 |z|^3), v = 2 cut^2 / z^2 - 1."""
+    sign = np.sign(z)
+    z = np.minimum(np.abs(z), _SATURATION)
+    inv = 1.0 / z
+    v = (inv * inv) * (2.0 * SERIES_CUTOFF**2) - 1.0
+    f = _horner(_F_COEFFS, v) * (inv / np.pi)
+    g = _horner(_G_COEFFS, v) * ((inv * inv) * (inv / np.pi**2))
+    angle = (0.5 * np.pi) * _square_mod4(z)
+    cos, sin = np.cos(angle), np.sin(angle)
+    out = np.empty(z.shape, dtype=complex)
+    out.real = sign * (0.5 - (g * cos - f * sin))
+    out.imag = sign * (0.5 - (f * cos + g * sin))
+    return out
 
 
 def _square_mod4(z):
-    """z^2 mod 4 from z^2 = hi + lo exactly (Veltkamp's two-product)."""
+    """z^2 reduced mod 4 into [-2, 2], from z^2 = hi + lo exactly
+    (Veltkamp's two-product); hi - 4 rint(hi / 4) is exact."""
     hi = z * z
     z_hi = z * 134217729.0   # 2^27 + 1 splits z into halves with exact products
     z_hi -= z_hi - z
     z_lo = z - z_hi
-    return np.fmod(hi, 4.0) + (((z_hi * z_hi - hi) + 2.0 * z_hi * z_lo) + z_lo * z_lo)
+    return (hi - 4.0 * np.rint(0.25 * hi)) + (((z_hi * z_hi - hi) + 2.0 * z_hi * z_lo) + z_lo * z_lo)
 
 
 def _fresnel_ei_array(z):
-    """Vectorized E(z) on a float array; no validation."""
+    """E(z) on a 1-D float array; no validation."""
     z = np.asarray(z, dtype=float)
-    az = np.minimum(np.abs(z), _SATURATION)
+    small = np.abs(z) <= SERIES_CUTOFF
+    # integer indices gather and scatter several times faster than masks
+    near, far = np.flatnonzero(small), np.flatnonzero(~small)
     out = np.empty(z.shape, dtype=complex)
-    small = az <= SERIES_CUTOFF
-    out[small] = _series(az[small])
-    out[~small] = _continued_fraction(az[~small])
-    np.negative(out, where=z < 0, out=out)
+    out[near] = _near_origin(z[near])
+    out[far] = _auxiliary(z[far])
     return out
 
 

@@ -357,10 +357,13 @@ def _newton_disk(ctx, g1, g2):
 
 
 def _circle_angles(alpha):
-    """alpha taken into (-pi, pi], and the (theta, phi) of the circle point
-    (cos alpha, sin alpha): up (0, alpha) from 0 on, down (pi, -alpha) below 0."""
-    alpha = np.pi - np.mod(np.pi - alpha, 2.0 * np.pi)
-    return alpha, np.where(alpha >= 0.0, 0.0, np.pi), np.abs(alpha)
+    """alpha in [-pi, pi] with -pi taken as pi, and the (theta, phi) of the
+    circle point (cos alpha, sin alpha): up (0, alpha) from 0 on, down
+    (pi, -alpha) below 0.  alpha itself is kept, so phi is the certified
+    anchor's angle to the bit."""
+    if alpha == -np.pi:
+        alpha = np.pi
+    return alpha, 0.0 if alpha >= 0.0 else np.pi, abs(alpha)
 
 
 def _circle_roots(v0, v1, v2):
@@ -437,7 +440,7 @@ def _fit_definite(ctx, g1, g2):
             push(middle, hi, spare)
     alpha, theta, phi = _circle_angles(best[0])
     value = ctx.loglik(math.cos(alpha), math.sin(alpha))
-    return value, "up" if theta == 0.0 else "down", float(phi)
+    return value, "up" if theta == 0.0 else "down", phi
 
 
 def fit_mle(hits, geometry=None, window=None, theta_points=DEFAULT_SURFACE_POINTS,

@@ -1,11 +1,14 @@
 """Independent reference implementations used only by the tests.
 
 Everything here deliberately avoids the package's own code paths: the
-complex Fresnel integral comes from adaptive quadrature or from scipy's
-tabulated Fresnel functions, and densities are composed directly from
+complex Fresnel integral comes from adaptive quadrature, from scipy's
+tabulated Fresnel functions or from its Taylor series in decimal
+arithmetic, and densities are composed directly from
 complex slit amplitudes (absolute squares of sums), never through the
 package's component factorization.
 """
+
+from decimal import Decimal
 
 import numpy as np
 from scipy.integrate import quad
@@ -27,6 +30,43 @@ def fresnel_scipy(z):
     """Same integral from scipy's real Fresnel pair (S first, C second)."""
     s, c = scipy_fresnel(z)
     return c + 1j * s
+
+
+PI_DECIMAL = Decimal(
+    "3.14159265358979323846264338327950288419716939937510"
+    "58209749445923078164062862089986280348253421170679"
+)
+
+
+def fresnel_decimal(z, tol=Decimal("1e-60")):
+    """(C(z), S(z)) for a Decimal z >= 0, from the Taylor series
+    E(z) = sum_n (i pi z^2 / 2)^n z / (n! (2n + 1)) in the current decimal
+    context.
+
+    Terms grow to about exp(pi z^2 / 2) before they fall, so the context
+    needs that many digits more than ``tol`` asks for.
+    """
+    x = PI_DECIMAL * z * z / 2
+    parts = [Decimal(0), Decimal(0)]
+    term, n = z, 0   # (i x)^n z / n!, without the power of i
+    while n <= x or abs(term) >= tol:
+        parts[n % 2] += (-1) ** (n // 2 % 2) * term / (2 * n + 1)
+        n += 1
+        term = term * x / n
+    return parts[0], parts[1]
+
+
+def cis_decimal(phi, tol=Decimal("1e-60")):
+    """(cos phi, sin phi) for a Decimal phi, from the Taylor series of
+    exp(i phi) after reduction into [0, 2 pi)."""
+    phi = phi % (2 * PI_DECIMAL)
+    parts = [Decimal(0), Decimal(0)]
+    term, n = Decimal(1), 0
+    while n <= phi or abs(term) >= tol:
+        parts[n % 2] += (-1) ** (n // 2 % 2) * term
+        n += 1
+        term = term * phi / n
+    return parts[0], parts[1]
 
 
 def slit_amplitudes(geometry, x):

@@ -1,19 +1,25 @@
 """Accuracy and contract tests for the complex Fresnel integral."""
 
-import math
+import subprocess
+import sys
+from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import fresnel as scipy_fresnel
 
-from _oracle import fresnel_quad
+from _oracle import PI_DECIMAL, cis_decimal, fresnel_decimal, fresnel_quad
 from abflux import DomainError, fresnel_ei, fresnel_ei_grid
 from abflux.fresnel import (
-    _SERIES_TERMS,
+    _F_COEFFS,
+    _G_COEFFS,
+    _P_COEFFS,
+    _Q_COEFFS,
     SERIES_CUTOFF,
-    _continued_fraction,
-    _series,
 )
+
+GENERATOR = Path(__file__).resolve().parents[1] / "tools" / "fresnel_coefficients.py"
 
 
 def test_zero_is_zero():
@@ -52,14 +58,6 @@ def test_small_argument_leading_term():
         assert abs(fresnel_ei(z) - z) <= 1e-17
 
 
-def test_branch_agreement_on_overlap():
-    # both evaluation branches are accurate on this band, so switching
-    # the cutoff inside it cannot move results at the tested precision
-    zs = np.linspace(2.0, 2.8, 81)
-    worst = np.max(np.abs(_series(zs) - _continued_fraction(zs)))
-    assert worst <= 1e-12
-
-
 def test_cutoff_is_inside_overlap_band():
     assert 2.0 <= SERIES_CUTOFF <= 2.8
 
@@ -75,7 +73,7 @@ def test_derivative_matches_integrand():
 
 
 def test_grid_matches_scalar_calls():
-    # 40,000 continued-fraction arguments make the grid's temporaries far
+    # 40,000 arguments above the cutoff make the grid's temporaries far
     # larger than the 256 KiB from which numpy reuses them in place; every
     # eighth of them is checked against its own call
     zs = np.concatenate([
@@ -107,38 +105,77 @@ def test_grid_error_names_offending_index():
         fresnel_ei_grid(zs)
 
 
-def _bottom_up_fraction(z, depth):
-    # reference: the same continued fraction as _continued_fraction, deeper
-    pizz = np.pi * z * z
-    b = 1.0 - 1j * pizz
-    f = b + 4.0 * depth
-    for k in range(depth, 0, -1):
-        f = (b + 4.0 * (k - 1)) + (-2.0 * k * (2.0 * k - 1.0)) / f
-    return (0.5 + 0.5j) * (1.0 - np.exp(0.5j * pizz) * (1.0 - 1j) * z / f)
-
-
 def test_matches_scipy_dense_on_hit_range():
-    # the slit-edge arguments of the Jonsson windows and hits lie in here
+    # the slit-edge arguments of the Jonsson windows and hits lie in here;
+    # scipy itself is within 6.2e-16 of 40-digit values on [0, 14]
     zs = np.linspace(-13.0, 13.0, 200_001)
     s, c = scipy_fresnel(zs)
-    assert np.max(np.abs(fresnel_ei_grid(zs) - (c + 1j * s))) <= 1e-12
+    assert np.max(np.abs(fresnel_ei_grid(zs) - (c + 1j * s))) <= 2e-15
 
 
 def test_continuous_at_cutoff():
     above = np.nextafter(SERIES_CUTOFF, 3.0)
-    assert abs(fresnel_ei(SERIES_CUTOFF) - fresnel_ei(above)) < 1e-12
+    assert abs(fresnel_ei(SERIES_CUTOFF) - fresnel_ei(above)) < 1e-15
 
 
-def test_continued_fraction_depth_suffices():
-    for z in (2.0, 2.5, 4.0):
-        assert abs(_continued_fraction(z) - _bottom_up_fraction(z, 200)) <= 1e-15
+def _horner_decimal(coeffs, x):
+    # the committed float64 coefficients, evaluated without rounding error
+    acc = Decimal(coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc = acc * x + Decimal(c)
+    return acc
 
 
 def test_series_term_count_suffices():
-    # first term the series leaves out, at the top of the overlap band
-    z, n = 2.8, 2 * _SERIES_TERMS
-    omitted = (np.pi / 2) ** n * z ** (2 * n + 1) / (math.factorial(n) * (2 * n + 1))
-    assert omitted < 1e-17
+    # the near-origin fits z P(w) + i z^3 Q(w), as committed and evaluated
+    # exactly, against 60-digit C and S at 40 points of w in (-1, 1];
+    # truncation is below 2e-17, rounding the coefficients to float64
+    # costs up to 3.5e-16
+    with localcontext() as ctx:
+        ctx.prec = 80
+        cut = Decimal(SERIES_CUTOFF)
+        worst = Decimal(0)
+        for j in range(1, 41):
+            w = Decimal(j - 20) / 20
+            z = cut * ((w + 1) / 2).sqrt().sqrt()
+            c, s = fresnel_decimal(z)
+            dc = z * _horner_decimal(_P_COEFFS, w) - c
+            ds = z**3 * _horner_decimal(_Q_COEFFS, w) - s
+            worst = max(worst, (dc * dc + ds * ds).sqrt())
+    assert worst <= Decimal("5e-16")
+
+
+def test_continued_fraction_depth_suffices():
+    # the auxiliary fits f = F(v) / (pi z) and g = G(v) / (pi^2 z^3) that
+    # replace the continued fraction, as committed and evaluated exactly,
+    # against 60-digit f and g at 39 points of v in [-0.9, 1], z from the
+    # cutoff to 11.2; an error in (f, g) is the same error in E
+    with localcontext() as ctx:
+        ctx.prec = 150   # the Taylor terms reach exp(pi z^2 / 2) ~ 1e85
+        cut = Decimal(SERIES_CUTOFF)
+        half = Decimal("0.5")
+        worst = Decimal(0)
+        for j in range(39):
+            v = 1 - Decimal(j) / 20
+            z = cut / ((v + 1) / 2).sqrt()
+            c, s = fresnel_decimal(z)
+            cos, sin = cis_decimal(PI_DECIMAL * z * z / 2)
+            f = (c - half) * sin - (s - half) * cos
+            g = -(c - half) * cos - (s - half) * sin
+            df = _horner_decimal(_F_COEFFS, v) / (PI_DECIMAL * z) - f
+            dg = _horner_decimal(_G_COEFFS, v) / (PI_DECIMAL**2 * z**3) - g
+            worst = max(worst, (df * df + dg * dg).sqrt())
+    assert worst <= Decimal("2e-17")
+
+
+def test_committed_coefficients_match_generator():
+    # the generator refits the four polynomials at 40 digits, fails unless
+    # each fit's first omitted Chebyshev term is below 2e-17 in E, and
+    # compares every committed coefficient with its own, bit for bit
+    pytest.importorskip("mpmath")
+    run = subprocess.run([sys.executable, str(GENERATOR), "--check"],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def test_values_independent_of_batch():

@@ -451,6 +451,31 @@ def test_definite_fit_is_the_global_circle_maximum(jonsson):
         assert abs(result.definite_phi - best_phi) <= 1e-3
 
 
+def test_definite_phi_is_the_best_anchor_angle(jonsson, monkeypatch):
+    # the reported definite point is the certified anchor itself, to the
+    # bit, so loglik_definite is the value at the angle whose bound was
+    # certified; alpha = -pi is the same point as pi
+    anchors = []
+    original = inference._circle_angles
+
+    def recorded(alpha):
+        anchors.append(alpha)
+        return original(alpha)
+
+    monkeypatch.setattr(inference, "_circle_angles", recorded)
+    rng = np.random.default_rng(23)
+    for seed in range(40):
+        theta, phi = rng.choice([0.0, np.pi]), rng.uniform(0.0, np.pi)
+        hits = make_hits(jonsson, theta, phi, 300, seed)
+        result = discriminate(hits)
+        alpha = anchors[-1]
+        assert -np.pi <= alpha <= np.pi
+        assert result.definite_phi == abs(alpha)
+        assert result.definite_direction == ("up" if alpha >= 0.0 or alpha == -np.pi else "down")
+        ctx = _LikelihoodContext(hits.positions, jonsson, DEFAULT_WINDOW)
+        assert result.loglik_definite == ctx.loglik(math.cos(alpha), math.sin(alpha))
+
+
 def test_definite_fit_with_a_hit_on_a_fringe_zero(jonsson, monkeypatch):
     # the definite densities near alpha = +-pi vanish at x = 0 to within
     # rounding, so the anchors there have no tangent; the arcs next to them
