@@ -6,9 +6,11 @@ so a likelihood evaluation needs the components once per hit set and
 takes disk points.  A hit's term is then log A plus log(1 + c B/A + s C/A),
 and the factors of a group of hits share one log through their product;
 hits where the density can come close to zero keep the term
-log(A + B c + C s) as it stands.  Normalization over the window is exact
-in the same decomposition: the trapezoid integral of the density is the
-same combination of the component integrals.
+log(A + B c + C s) as it stands.  The part 1 + c B/A (or A + B c) depends
+on c alone, so points that share c, such as a phi column of the surface,
+share it too: c may be passed once per column.  Normalization over the
+window is exact in the same decomposition: the trapezoid integral of the
+density is the same combination of the component integrals.
 
 Estimation is unbinned maximum likelihood over the disk: in
 u = t (1, c, s) on the plane N . u = 1 the log-likelihood
@@ -53,7 +55,7 @@ _FLAT_GAP_NATS = 10.0       # theta is unidentified when the best fit beats
                             # maximum lies inside the disk, not on c = +-1.
                             # Flat data stays below ~4 nats, identified cases
                             # reach hundreds even at n = 1e3
-_CELL_BLOCK = 1 << 16       # hits-by-points elements per loglik buffer
+_CELL_BLOCK = 1 << 16       # hits-by-points elements per loglik block
 _FLAG_RATIO = 1e-5          # a hit whose density can fall below this share
                             # of A keeps its raw log-density term
 _GROUP = 32                 # hits whose factors share one log
@@ -231,43 +233,67 @@ class _LikelihoodContext:
         return self.norm_a * g1 - self.norm_b, self.norm_a * g2 - self.norm_c
 
     def loglik(self, c, s):
-        """Log-likelihood at the disk points (c, s), paired scalars or arrays
-        of one shape (a float or an array of that shape), -inf where a
-        hit's density is not positive.
+        """Log-likelihood at the disk points (c, s), -inf where a hit's
+        density is not positive.  c and s are floats or arrays that broadcast
+        together, and the result has their broadcast shape (a float when it
+        is ()).  Each entry of c heads a fan, the points it broadcasts over,
+        so c may only be broadcast along trailing axes: a fan is then a run
+        of points in C order.  Paired arrays are fans of one point; the
+        surface passes cos(phi) of shape (phi, 1), one fan per phi column.
 
         A kept hit's term is log A + log(1 + c B/A + s C/A).  Its factor lies
         in [_FLAG_RATIO, 2], so halving passes multiply the factors into
         products of at most _GROUP, which stay far from underflow and
         overflow, and each product takes one log.  A flagged hit's term is
         log(A + B c + C s) as it stands, since near a zero of the density
-        1 + c B/A cancels to the rounding of B/A.  Points go in blocks of
-        _CELL_BLOCK hits-by-points elements through two reused buffers, so
-        the work stays in cache and nothing is allocated per block."""
-        shape = np.shape(c)
-        c, s = np.ravel(c), np.ravel(s)
-        out = np.empty(c.size)
+        1 + c B/A cancels to the rounding of B/A.  The base c B/A + 1, or
+        A + B c, is formed once per fan; each point then costs s C/A, or
+        s C, into one buffer and one add of its base, so a cell rounds as
+        (c B/A + 1) + s C/A whatever the fan.  Points go in blocks of
+        _CELL_BLOCK hits-by-points elements, whole fans to a block when they
+        fit, through one buffer that also holds the bases, so the work stays
+        in cache and nothing is allocated per block."""
+        shape, lead = np.broadcast(c, s).shape, np.shape(c)
+        lead = (1,) * (len(shape) - len(lead)) + lead
+        axes = len(lead)
+        while axes and lead[axes - 1] == 1:
+            axes -= 1
+        if lead[:axes] != shape[:axes]:
+            raise DomainError(
+                f"c of shape {np.shape(c)} is broadcast along a leading axis of {shape}")
+        norm = np.log(combine_components((self.norm_a, self.norm_b, self.norm_c), c, s))
+        c, s = np.ravel(c), np.broadcast_to(s, shape).ravel()
+        fan = s.size // c.size if s.size else 1     # points per entry of c
+        c = c[:s.size // fan]                       # no fans without points
+        out = np.empty(s.size)
         n, j = self.n, self.flag_at.size
-        rows = max(1, min(c.size, _CELL_BLOCK // max(n, 1)))
-        v, w = np.empty((2, rows, n))
+        rows = max(1, min(s.size, _CELL_BLOCK // max(n, 1)))
+        fans = max(1, rows // fan)      # whole fans per block, or one fan over blocks
+        block = min(rows, fans * fan)
+        buffer = np.empty((fans + block, n))
+        base, v = buffer[:fans], buffer[fans:]
         # a zero density logs to -inf and a negative one to nan
         with np.errstate(divide="ignore", invalid="ignore"):
-            for i in range(0, c.size, rows):
-                k = min(rows, c.size - i)
-                vk, wk = v[:k], w[:k]
-                np.multiply(c[i:i + k, None], self.hit_b, out=vk)
-                vk[:, :j] += self.hit_a[:j]
-                vk[:, j:] += 1.0
-                np.multiply(s[i:i + k, None], self.hit_c, out=wk)
-                vk += wk
-                # the products of the kept factors follow the flagged densities
-                size, groups = n - j, -(-(n - j) // _GROUP)
-                while size > groups:
-                    half = -(-size // 2)
-                    vk[:, j:j + size - half] *= vk[:, j + half:j + size]
-                    size = half
-                np.log(vk[:, :j + size], out=vk[:, :j + size])
-                np.sum(vk[:, :j + size], axis=1, out=out[i:i + k])
-        out -= n * np.log(combine_components((self.norm_a, self.norm_b, self.norm_c), c, s))
+            for i in range(0, c.size, fans):
+                m = min(fans, c.size - i)
+                np.multiply(c[i:i + m, None], self.hit_b, out=base[:m])
+                base[:m, :j] += self.hit_a[:j]
+                base[:m, j:] += 1.0
+                for p in range(i * fan, (i + m) * fan, block):
+                    k = min(block, (i + m) * fan - p)
+                    vk = v[:k]
+                    fanned = vk.reshape(m, k // m, n)
+                    np.multiply(s[p:p + k].reshape(m, k // m, 1), self.hit_c, out=fanned)
+                    fanned += base[:m, None]
+                    # the products of the kept factors follow the flagged densities
+                    size, groups = n - j, -(-(n - j) // _GROUP)
+                    while size > groups:
+                        half = -(-size // 2)
+                        vk[:, j:j + size - half] *= vk[:, j + half:j + size]
+                        size = half
+                    np.log(vk[:, :j + size], out=vk[:, :j + size])
+                    np.sum(vk[:, :j + size], axis=1, out=out[p:p + k])
+        out -= n * np.ravel(norm)
         out += self.hit_a[j:].sum()
         out[np.isnan(out)] = -np.inf
         return float(out[0]) if shape == () else out.reshape(shape)
@@ -465,8 +491,7 @@ def fit_mle(hits, geometry=None, window=None, theta_points=DEFAULT_SURFACE_POINT
     best = _discriminate_ctx(ctx)
 
     def surface():
-        mesh_t, mesh_p = np.meshgrid(theta_grid, phi_grid, indexing="ij")
-        return ctx.loglik(*disk_point(mesh_t, mesh_p))
+        return ctx.loglik(*disk_point(theta_grid, phi_grid[:, None])).T
 
     zero_phase = max(ctx.loglik(1.0, 0.0), ctx.loglik(-1.0, 0.0))
     return LikelihoodSurface(

@@ -423,8 +423,8 @@ def test_fit_builds_its_surface_on_first_read(jonsson, monkeypatch):
     original = _LikelihoodContext.loglik
 
     def counted(self, c, s):
-        if np.size(c) > 1:
-            sizes.append(np.size(c))
+        if np.broadcast(c, s).size > 1:
+            sizes.append(np.broadcast(c, s).size)
         return original(self, c, s)
 
     monkeypatch.setattr(_LikelihoodContext, "loglik", counted)
@@ -515,6 +515,52 @@ def test_loglik_cells_equal_per_cell_loglik(jonsson):
         mesh_t, mesh_p = (m.ravel() for m in np.meshgrid(thetas, phis, indexing="ij"))
         assert np.array_equal(ctx.loglik(*disk_point(mesh_t, mesh_p)),
                               _per_cell(ctx, mesh_t, mesh_p))
+
+
+@pytest.mark.parametrize("n, thetas, phis", [
+    # 23 fans of 29 points at 7 fans per block, the last block 2 fans
+    (300, np.linspace(0.0, np.pi, 29), np.linspace(0.0, np.pi, 23)),
+    # each 181-point fan runs over 60 blocks of 3 points and one of 1
+    (20000, np.linspace(0.0, np.pi, 181), np.array([0.4, 2.0, np.pi])),
+    # one point per block
+    (_CELL_BLOCK + 1000, np.array([0.3, 2.0]), np.array([0.4, np.pi])),
+])
+def test_loglik_fans_equal_paired_points(jonsson, n, thetas, phis):
+    # the last hit sits at x = 0, where every phi = pi density is zero
+    hits = make_hits(jonsson, np.pi / 2, np.pi / 2, n, 17).positions
+    hits[-1] = 0.0
+    ctx = _LikelihoodContext(hits, jonsson, DEFAULT_WINDOW)
+    assert ctx.flag_at.size > 1 and ctx.flag_at[-1] == n - 1
+    fans = disk_point(thetas, phis[:, None])
+    paired = disk_point(*np.meshgrid(thetas, phis))
+    assert fans[0].shape == (phis.size, 1) and paired[0].shape == fans[1].shape
+    for sub in (ctx, ctx.prefix(n - 1), ctx.prefix(n // 2), ctx.prefix(0)):
+        cells = sub.loglik(*fans)
+        assert np.array_equal(cells, sub.loglik(*paired))
+        assert np.array_equal(np.isneginf(cells), np.broadcast_to(
+            (phis == np.pi)[:, None] & (sub.n == n), cells.shape))
+
+
+def test_loglik_broadcasts_c_along_trailing_axes(jonsson):
+    ctx = _LikelihoodContext(make_hits(jonsson, 1.0, 1.0, 200, 3).positions,
+                             jonsson, DEFAULT_WINDOW)
+    c, s = np.linspace(-0.9, 0.9, 3), np.linspace(-0.3, 0.3, 8).reshape(2, 4)
+    for sub in (ctx, ctx.prefix(0)):
+        assert np.array_equal(sub.loglik(0.2, s), sub.loglik(np.full(s.shape, 0.2), s))
+        assert np.array_equal(sub.loglik(s, 0.1), sub.loglik(s, np.full(s.shape, 0.1)))
+        grid = np.broadcast_to(s, (3, 2, 4))
+        assert np.array_equal(sub.loglik(c[:, None, None], s),
+                              sub.loglik(np.broadcast_to(c[:, None, None], grid.shape), grid))
+        assert isinstance(sub.loglik(0.2, 0.1), float)
+        for c_empty, s_empty, shape in ((np.empty(0), np.empty(0), (0,)),
+                                        (np.empty((0, 1)), np.empty((0, 5)), (0, 5)),
+                                        (0.2, np.empty((2, 0)), (2, 0)),
+                                        (np.full((3, 1), 0.2), np.empty((3, 0)), (3, 0))):
+            assert sub.loglik(c_empty, s_empty).shape == shape
+    # a c that repeats along a leading axis would pair with the wrong points
+    for c_shape, s_shape in (((1, 4), (3, 4)), ((3, 1, 4), (3, 2, 4)), ((4,), (3, 4, 1))):
+        with pytest.raises(DomainError, match="leading axis"):
+            ctx.loglik(np.full(c_shape, 0.2), np.zeros(s_shape))
 
 
 def test_loglik_cells_zero_and_negative_density_read_minus_inf():
