@@ -3,13 +3,24 @@
 
 Every emitted file starts with ``# key=value`` comment lines carrying the
 full parameter set needed to regenerate it (geometry, flux angles, window,
-grids, seed, tool version).  Numbers are written with ``repr`` so they
-round-trip bit-exactly through ``float``.  Data rows follow a single
+grids, seed, tool version).  A comment key or value that would break its
+line (a newline or carriage return, or ``=`` in a key) is refused before
+the file is opened.  Numbers are written with ``repr`` so they round-trip
+bit-exactly through ``float``.  Data rows follow a single
 ``name,name,...`` header line.
+
+The array writers format a block of rows with one ``%`` call, since ``%r``
+of a Python float is its ``repr``.  A block is ``_BLOCK_ROWS`` rows, or what
+is left of a file, a panel slice or a surface row.  The text of the
+leading float column (screen positions, or the surface's phi values) goes
+into the format templates themselves.  The last column's templates are
+kept, keyed by the column's bytes, so a sweep's files and a figure's
+panels on one screen grid build them once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import fields
 
@@ -40,6 +51,8 @@ _WINDOW_KEYS = tuple(key for key, field in MODEL_KEYS if not field)
 _FLUX_KEYS = tuple(f.name for f in fields(FluxState))
 _SAMPLE_KEYS = tuple(f.name for f in fields(SampleConfig) if f.name != "window")
 HITS_HEADER = "index,x_m"
+_HITS_ROW = "%d,%r\n"
+_BLOCK_ROWS = 1 << 12       # data rows per format call
 
 
 def model_values(geometry: ApertureGeometry, window):
@@ -77,6 +90,38 @@ def _float_texts(values):
     return map(repr, np.asarray(values, dtype=float).tolist())
 
 
+@functools.lru_cache(maxsize=1)
+def _column_templates(column: bytes, head: str, tail: str) -> tuple:
+    """The format templates of a data block whose rows are ``head``, the
+    text of one float of ``column`` (float64 bytes, in order) and ``tail``:
+    one template per _BLOCK_ROWS rows.
+
+    Whole templates are kept, not the texts of the floats: a sweep's files
+    share them, and a cache of many small strings pins the allocator's
+    arenas for the rest of the process.
+    """
+    floats = np.frombuffer(column)
+    return tuple(
+        "".join(head + text + tail for text in _float_texts(floats[start:start + _BLOCK_ROWS]))
+        for start in range(0, floats.size, _BLOCK_ROWS)
+    )
+
+
+def _blocks(column, head, tail, values, label=None):
+    """The text of a data block, one string per _BLOCK_ROWS rows: each row
+    is ``head``, the text of one float of ``column`` and ``tail``, whose
+    fields take the matching float of ``values``, after ``label`` if given."""
+    column = np.asarray(column, dtype=float)
+    values = np.asarray(values, dtype=float)
+    templates = _column_templates(column.tobytes(), head, tail)
+    for start, template in zip(range(0, column.size, _BLOCK_ROWS), templates):
+        args = values[start:start + _BLOCK_ROWS].tolist()
+        if label is not None:
+            floats, args = args, [label] * (2 * len(args))
+            args[1::2] = floats
+        yield template % tuple(args)
+
+
 def geometry_comments(geometry: ApertureGeometry):
     return [(key, format_number(getattr(geometry, field)))
             for key, field in _GEOMETRY_FIELDS]
@@ -90,15 +135,34 @@ def window_comments(window):
     return [(key, format_number(edge)) for key, edge in zip(_WINDOW_KEYS, window)]
 
 
-def write_csv(path, comments, header, rows):
-    """Write comment pairs, a header line, and iterable rows of strings."""
+def _write_table(path, comments, header, blocks):
+    """Write comment pairs, a header line, and the data block's text, one
+    string of whole rows at a time from the iterable ``blocks``.
+
+    The comments are checked before the file is opened: a key or value
+    holding a newline or carriage return, or a key holding ``=``, would not
+    read back as the same comment.
+    """
+    comments = list(comments)
+    for key, value in comments:
+        line = f"{key}={value}"
+        if "=" in str(key) or "\n" in line or "\r" in line:
+            raise DomainError(
+                f"{path}: provenance comment {key!r}={value!r} would break its line "
+                "(no newline or carriage return in a comment, no '=' in its key)"
+            )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# tool=abflux {__version__}\n")
         for key, value in comments:
             fh.write(f"# {key}={value}\n")
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        for block in blocks:
+            fh.write(block)
+
+
+def write_csv(path, comments, header, rows):
+    """Write comment pairs, a header line, and iterable rows of strings."""
+    _write_table(path, comments, header, (",".join(row) + "\n" for row in rows))
 
 
 def read_csv(path):
@@ -187,8 +251,18 @@ def hits_comments(hits: HitSet):
 
 
 def write_hits_csv(path, hits: HitSet):
-    rows = zip(map(str, range(len(hits.positions))), _float_texts(hits.positions))
-    write_csv(path, hits_comments(hits), HITS_HEADER, rows)
+    """The hits as ``index,x_m`` rows, formatted _BLOCK_ROWS rows at a time."""
+    positions = hits.positions
+
+    def blocks():
+        for start in range(0, positions.size, _BLOCK_ROWS):
+            values = positions[start:start + _BLOCK_ROWS].tolist()
+            args = [0] * (2 * len(values))
+            args[0::2] = range(start, start + len(values))
+            args[1::2] = values
+            yield _HITS_ROW * len(values) % tuple(args)
+
+    _write_table(path, hits_comments(hits), HITS_HEADER, blocks())
 
 
 def _comment_value(comments, key, path, kind):
@@ -246,8 +320,8 @@ def write_pattern_csv(path, grid, window, comments_extra=()):
         + window_comments(window)
         + [("screen_points", format_number(grid.positions.size))]
     )
-    rows = zip(_float_texts(grid.positions), _float_texts(grid.values))
-    write_csv(path, comments, "x_m,density", rows)
+    _write_table(path, comments, "x_m,density",
+                 _blocks(grid.positions, "", ",%r\n", grid.values))
 
 
 def write_panel_csv(path, x, param_name, param_values, matrix, comments):
@@ -265,14 +339,9 @@ def write_panel_csv(path, x, param_name, param_values, matrix, comments):
             f"{param_values.size} parameter values x {x.size} positions"
         )
 
-    x_texts = list(_float_texts(x))
-
-    def rows():
-        for value_text, slice_ in zip(_float_texts(param_values), matrix):
-            for pos_text, dens_text in zip(x_texts, _float_texts(slice_)):
-                yield (pos_text, value_text, dens_text)
-
-    write_csv(path, comments, f"x_m,{param_name},density", rows())
+    blocks = (block for value_text, slice_ in zip(_float_texts(param_values), matrix)
+              for block in _blocks(x, "", ",%s,%r\n", slice_, value_text))
+    _write_table(path, comments, f"x_m,{param_name},density", blocks)
 
 
 def write_surface_csv(path, surface, comments_extra=()):
@@ -286,15 +355,12 @@ def write_surface_csv(path, surface, comments_extra=()):
         ("theta_flat", format_number(surface.theta_flat)),
     ]
 
-    theta_texts = _float_texts(surface.theta_grid)
-    phi_texts = list(_float_texts(surface.phi_grid))
+    def blocks():
+        # read only after the comments pass: the surface may be lazy
+        for theta_text, row in zip(_float_texts(surface.theta_grid), surface.loglik):
+            yield from _blocks(surface.phi_grid, "%s,", ",%r\n", row, theta_text)
 
-    def rows():
-        for theta_text, loglik_row in zip(theta_texts, surface.loglik):
-            for phi_text, value_text in zip(phi_texts, _float_texts(loglik_row)):
-                yield (theta_text, phi_text, value_text)
-
-    write_csv(path, comments, "theta,phi,loglik", rows())
+    _write_table(path, comments, "theta,phi,loglik", blocks())
 
 
 def write_hypothesis_csv(path, result, comments_extra=()):

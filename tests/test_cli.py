@@ -228,6 +228,17 @@ def test_infer_provenance_mismatch(tmp_path, capsys):
             "--out", str(tmp_path / "s.csv")])
 
 
+def test_infer_refuses_an_input_name_that_would_break_a_comment(tmp_path, capsys):
+    hits = tmp_path / "a\nb.csv"
+    run_ok(["simulate", "--out", str(hits), "--n-hits", "200", "--seed", "1"])
+    surface = tmp_path / "s.csv"
+    rc = main(["infer", str(hits), "--theta-points", "5", "--phi-points", "5",
+               "--out", str(surface)])
+    assert rc == 2
+    assert "would break its line" in capsys.readouterr().err
+    assert not surface.exists()
+
+
 def test_infer_adopts_file_settings(tmp_path):
     # geometry/window values the user did not set come from the file, so a
     # hits file with a non-default model analyzes cleanly with no flags

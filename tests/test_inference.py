@@ -23,6 +23,7 @@ from abflux.inference import (
     _CELL_BLOCK,
     _FLAG_RATIO,
     _LikelihoodContext,
+    _aligned_rows,
     canonical_angles,
     discriminate,
     fit_mle,
@@ -612,6 +613,28 @@ def test_loglik_cells_match_a_per_hit_fsum(jonsson):
         assert np.array_equal(np.isfinite(cells), finite)
         assert np.all(np.abs(cells[finite] - expected[finite]) <= 1e-12 * np.abs(expected[finite]))
     assert np.isneginf(ctx.loglik(*disk_point(*at_pi))).all()
+
+
+def test_loglik_buffer_rows_are_aligned_and_a_padded_stride_keeps_every_cell(jonsson):
+    assert _aligned_rows(5, 0).shape == (5, 0)
+    for rows, n in ((1, 1), (3, 7), (22, 2999), (4, 16)):
+        buffer = _aligned_rows(rows, n)
+        assert buffer.shape == (rows, n)
+        assert [buffer[i:].ctypes.data % 64 for i in range(rows)] == [0] * rows
+    # 3001 hits pad each kernel row to 3008 floats; a block holds 21 points,
+    # so fans of 9 points run two to a block and fans of 50 over three blocks
+    hits = make_hits(jonsson, 1.0, 1.2, 3001, 8).positions
+    assert _CELL_BLOCK // hits.size == 21
+    ctx = _LikelihoodContext(hits, jonsson, DEFAULT_WINDOW)
+    components = pattern_components(jonsson, hits)
+    norms = (ctx.norm_a, ctx.norm_b, ctx.norm_c)
+    for columns, fan in ((40, 9), (2, 50)):
+        thetas, phis = np.meshgrid(np.linspace(0.0, np.pi, fan),
+                                   np.linspace(0.1, 2.0 * np.pi, columns))
+        c, s = disk_point(thetas, phis)
+        cells = ctx.loglik(c[:, :1], s)
+        expected = _fsum_loglik(components, norms, thetas.ravel(), phis.ravel())
+        assert np.all(np.abs(cells.ravel() - expected) <= 1e-12 * np.abs(expected))
 
 
 def test_loglik_products_stay_normal_when_every_factor_is_at_the_floor():

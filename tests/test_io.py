@@ -7,6 +7,7 @@ from abflux import DomainError, FluxState, SampleConfig, sample_hits
 from abflux.inference import LikelihoodSurface
 from abflux.io import (
     HITS_HEADER,
+    _BLOCK_ROWS,
     format_number,
     read_csv,
     read_hits_csv,
@@ -255,3 +256,79 @@ def test_read_csv_values_equal_float_of_text(tmp_path):
     _, _, data = read_csv(path)
     assert np.array_equal(data[-1], [1000.5, 2.0])
     assert np.array_equal(data[:-1], expected)
+
+
+def test_writers_rebuild_the_column_template_when_the_column_changes(tmp_path, jonsson):
+    # the last template is kept, keyed by its column's bytes: two grids in
+    # turn, a positions array changed in place, panels after patterns, and a
+    # surface, each written as the former per-element rows
+    rng = np.random.default_rng(5)
+    first, second = (np.sort(rng.uniform(-2e-5, 2e-5, 40)) for _ in range(2))
+    flux = FluxState(0.4, 1.2)
+    path = tmp_path / "out.csv"
+
+    def pattern_matches(x):
+        values = rng.random(x.size)
+        grid = DensityGrid(positions=x, values=values, geometry=jonsson, flux=flux)
+        write_pattern_csv(path, grid, (-2e-5, 2e-5))
+        assert grid.positions is x
+        assert _data_text(path, "x_m,density") == _former_rows(x, values)
+
+    for x in (first, second, first, first):
+        pattern_matches(x)
+    first[7] = 0.5 * (first[6] + first[7])
+    pattern_matches(first)
+    for param_name in ("phi", "theta"):
+        params, matrix = rng.random(3), rng.random((3, first.size))
+        write_panel_csv(path, first, param_name, params, matrix, [])
+        expected = "".join(
+            _former_rows(first, np.full(first.size, p), row) for p, row in zip(params, matrix)
+        )
+        assert _data_text(path, f"x_m,{param_name},density") == expected
+    pattern_matches(first)
+    loglik = rng.standard_normal((5, first.size))
+    surface = LikelihoodSurface(
+        theta_grid=second[:5], phi_grid=first, loglik=loglik, theta_hat=0.5,
+        phi_hat=1.5, loglik_max=float(loglik.max()), theta_flat=False,
+    )
+    write_surface_csv(path, surface)
+    expected = "".join(
+        _former_rows(np.full(first.size, t), first, row) for t, row in zip(second[:5], loglik)
+    )
+    assert _data_text(path, "theta,phi,loglik") == expected
+    pattern_matches(first)
+
+
+@pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+def test_rows_across_block_edges(tmp_path, jonsson, n):
+    rng = np.random.default_rng(n)
+    x = np.sort(rng.uniform(-2e-5, 2e-5, n))
+    flux = FluxState(0.4, 1.2)
+    hits = HitSet(positions=x, config=SampleConfig(n_hits=n, seed=1),
+                  flux=flux, geometry=jonsson)
+    path = tmp_path / "hits.csv"
+    write_hits_csv(path, hits)
+    expected = "".join(f"{i},{float(v)!r}\n" for i, v in enumerate(x))
+    assert _data_text(path, HITS_HEADER) == expected
+    if n:
+        values = rng.random(n)
+        path = tmp_path / "pattern.csv"
+        write_pattern_csv(path, DensityGrid(positions=x, values=values, geometry=jonsson,
+                                            flux=flux), (-2e-5, 2e-5))
+        assert _data_text(path, "x_m,density") == _former_rows(x, values)
+        params, matrix = np.array([0.3, 1.7]), np.stack([values, values[::-1]])
+        path = tmp_path / "panel.csv"
+        write_panel_csv(path, x, "phi", params, matrix, [])
+        expected = "".join(
+            _former_rows(x, np.full(n, p), row) for p, row in zip(params, matrix))
+        assert _data_text(path, "x_m,phi,density") == expected
+
+
+@pytest.mark.parametrize("key, value", [
+    ("input", "a\nb.csv"), ("input", "a\rb.csv"), ("in\nput", "a.csv"), ("in=put", "a.csv"),
+])
+def test_comments_that_would_break_their_line_are_refused(tmp_path, key, value):
+    path = tmp_path / "table.csv"
+    with pytest.raises(DomainError, match="would break its line"):
+        write_csv(path, [("alpha", "1.5"), (key, value)], "x", [("1.0",)])
+    assert not path.exists()
