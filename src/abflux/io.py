@@ -3,19 +3,25 @@
 
 Every emitted file starts with ``# key=value`` comment lines carrying the
 full parameter set needed to regenerate it (geometry, flux angles, window,
-grids, seed, tool version).  A comment key or value that would break its
-line (a newline or carriage return, or ``=`` in a key) is refused before
-the file is opened.  Numbers are written with ``repr`` so they round-trip
-bit-exactly through ``float``.  Data rows follow a single
-``name,name,...`` header line.
+grids, seed, tool version).  A comment that would not read back as the same
+key and value (a newline or carriage return in it, ``=`` in its key, a key
+given twice) is refused before the file is opened; the reader takes keys
+and values exactly as written, spaces included.  Numbers are written as
+their ``repr`` so they round-trip bit-exactly through ``float``.  Data rows
+follow a single ``name,name,...`` header line.
 
-The array writers format a block of rows with one ``%`` call, since ``%r``
-of a Python float is its ``repr``.  A block is ``_BLOCK_ROWS`` rows, or what
-is left of a file, a panel slice or a surface row.  The text of the
-leading float column (screen positions, or the surface's phi values) goes
-into the format templates themselves.  The last column's templates are
-kept, keyed by the column's bytes, so a sweep's files and a figure's
-panels on one screen grid build them once.
+The array writers build their data rows _BLOCK_ROWS rows at a time, and
+numpy computes the ``repr`` text of a whole block of floats at once
+(:func:`abflux._floattext.float_chars`) as a NUL-padded character matrix,
+one row per value.  A block's rows are the column matrices side by side
+with the commas and newlines between them; one ``translate`` drops the
+NULs.  The text is
+``repr``'s byte for byte: a value whose digits the vectorised search cannot
+certify takes ``repr`` itself.  Blocks are cut by row count, across panel
+slices and surface rows.  The text of the leading float column (screen
+positions, or the surface's phi values) is kept as one character matrix,
+keyed by the column's bytes, so a sweep's files and a figure's panels on
+one screen grid format it once.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from dataclasses import fields
 
 import numpy as np
 
+from ._floattext import float_chars, int_chars
 from ._version import __version__
 from .errors import DomainError, _checked_array
 from .pattern import FluxState
@@ -51,8 +58,7 @@ _WINDOW_KEYS = tuple(key for key, field in MODEL_KEYS if not field)
 _FLUX_KEYS = tuple(f.name for f in fields(FluxState))
 _SAMPLE_KEYS = tuple(f.name for f in fields(SampleConfig) if f.name != "window")
 HITS_HEADER = "index,x_m"
-_HITS_ROW = "%d,%r\n"
-_BLOCK_ROWS = 1 << 12       # data rows per format call
+_BLOCK_ROWS = 1 << 12       # data rows per block of text
 
 
 def model_values(geometry: ApertureGeometry, window):
@@ -81,45 +87,60 @@ def format_number(value):
     return repr(float(value))
 
 
-def _float_texts(values):
-    """Iterator over the :func:`format_number` text of each float in ``values``.
-
-    The array is converted to Python floats in one call; ``repr`` of a
-    Python float is the same text as ``repr(float(v))`` of a numpy scalar.
-    """
-    return map(repr, np.asarray(values, dtype=float).tolist())
+def _join(fields):
+    """The text of rows whose fields are the rows of the uint8 matrices
+    ``fields`` (NUL-padded text), separated by commas and ending in a
+    newline."""
+    width = sum(field.shape[1] + 1 for field in fields)
+    text = bytearray(fields[0].shape[0] * width)
+    rows = np.frombuffer(text, np.uint8).reshape(-1, width)
+    at = 0
+    for field in fields:
+        rows[:, at:at + field.shape[1]] = field
+        at += field.shape[1] + 1
+        rows[:, at - 1] = ord(",")
+    rows[:, -1] = ord("\n")
+    return text.translate(None, b"\0")
 
 
 @functools.lru_cache(maxsize=1)
-def _column_templates(column: bytes, head: str, tail: str) -> tuple:
-    """The format templates of a data block whose rows are ``head``, the
-    text of one float of ``column`` (float64 bytes, in order) and ``tail``:
-    one template per _BLOCK_ROWS rows.
+def _column_chars(column: bytes):
+    """The text of a leading column (float64 bytes), one row per value,
+    formatted _BLOCK_ROWS values at a time.
 
-    Whole templates are kept, not the texts of the floats: a sweep's files
-    share them, and a cache of many small strings pins the allocator's
-    arenas for the rest of the process.
+    A sweep's files and a figure's panels share one screen grid, so the
+    last column's text is kept: one character matrix, not a string per row.
     """
     floats = np.frombuffer(column)
-    return tuple(
-        "".join(head + text + tail for text in _float_texts(floats[start:start + _BLOCK_ROWS]))
-        for start in range(0, floats.size, _BLOCK_ROWS)
-    )
+    blocks = [float_chars(floats[start:start + _BLOCK_ROWS])
+              for start in range(0, floats.size, _BLOCK_ROWS)]
+    chars = np.zeros((floats.size, max((b.shape[1] for b in blocks), default=0)), np.uint8)
+    for start, block in zip(range(0, floats.size, _BLOCK_ROWS), blocks):
+        chars[start:start + len(block), :block.shape[1]] = block
+    return chars
 
 
-def _blocks(column, head, tail, values, label=None):
-    """The text of a data block, one string per _BLOCK_ROWS rows: each row
-    is ``head``, the text of one float of ``column`` and ``tail``, whose
-    fields take the matching float of ``values``, after ``label`` if given."""
-    column = np.asarray(column, dtype=float)
-    values = np.asarray(values, dtype=float)
-    templates = _column_templates(column.tobytes(), head, tail)
-    for start, template in zip(range(0, column.size, _BLOCK_ROWS), templates):
-        args = values[start:start + _BLOCK_ROWS].tolist()
-        if label is not None:
-            floats, args = args, [label] * (2 * len(args))
-            args[1::2] = floats
-        yield template % tuple(args)
+def _rows_of(chars, index):
+    """Rows ``index`` of the character matrix ``chars``, each row taken as
+    one item."""
+    width = chars.shape[1]
+    items = np.ascontiguousarray(chars).view(f"V{width}").ravel()
+    return np.take(items, index).view(np.uint8).reshape(-1, width)
+
+
+def _blocks(n_rows, columns, values):
+    """The text of ``n_rows`` data rows, _BLOCK_ROWS rows at a time.
+
+    Row r is, for each ``(chars, repeat)`` of ``columns``, the text of row
+    ``(r // repeat) % len(chars)`` of the character matrix ``chars``, then
+    the text of ``values[r]``.
+    """
+    values = np.asarray(values, dtype=float).ravel()
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n_rows)
+        index = np.arange(start, stop)
+        fields = [_rows_of(chars, index // repeat % len(chars)) for chars, repeat in columns]
+        yield _join(fields + [float_chars(values[start:stop])])
 
 
 def geometry_comments(geometry: ApertureGeometry):
@@ -135,34 +156,51 @@ def window_comments(window):
     return [(key, format_number(edge)) for key, edge in zip(_WINDOW_KEYS, window)]
 
 
-def _write_table(path, comments, header, blocks):
-    """Write comment pairs, a header line, and the data block's text, one
-    string of whole rows at a time from the iterable ``blocks``.
+def _check_comments(path, comments):
+    """The ``# key=value`` lines of ``comments`` (pairs), after the tool's
+    own, as UTF-8.
 
-    The comments are checked before the file is opened: a key or value
-    holding a newline or carriage return, or a key holding ``=``, would not
-    read back as the same comment.
+    A comment that would not read back as the same pair is refused: a key
+    or value holding a newline or carriage return, a key holding ``=``, a
+    key given twice (``tool`` included), or text that is not UTF-8.
     """
-    comments = list(comments)
+    lines = [f"tool=abflux {__version__}"]
+    keys = {"tool"}
     for key, value in comments:
+        key, value = str(key), str(value)
         line = f"{key}={value}"
-        if "=" in str(key) or "\n" in line or "\r" in line:
+        if "=" in key or "\n" in line or "\r" in line:
             raise DomainError(
                 f"{path}: provenance comment {key!r}={value!r} would break its line "
                 "(no newline or carriage return in a comment, no '=' in its key)"
             )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# tool=abflux {__version__}\n")
-        for key, value in comments:
-            fh.write(f"# {key}={value}\n")
-        fh.write(header + "\n")
+        if key in keys:
+            raise DomainError(f"{path}: provenance comment key {key!r} is given twice")
+        keys.add(key)
+        lines.append(line)
+    try:
+        return "".join(f"# {line}\n" for line in lines).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise DomainError(f"{path}: provenance comment is not UTF-8 text: {exc}") from None
+
+
+def _write_table(path, comments, header, blocks):
+    """Write comment pairs, a header line, and the data block's text, one
+    bytes object of whole rows at a time from the iterable ``blocks``.
+
+    The comments are checked before the file is opened.
+    """
+    head = _check_comments(path, comments) + (header + "\n").encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(head)
         for block in blocks:
             fh.write(block)
 
 
 def write_csv(path, comments, header, rows):
     """Write comment pairs, a header line, and iterable rows of strings."""
-    _write_table(path, comments, header, (",".join(row) + "\n" for row in rows))
+    _write_table(path, comments, header,
+                 ((",".join(row) + "\n").encode("utf-8") for row in rows))
 
 
 def read_csv(path):
@@ -186,12 +224,14 @@ def read_csv(path):
                     data = _read_rows(path, line_no, rest, len(header))
                     break
                 if line.startswith("#"):
-                    body = line[1:].strip()
+                    # "# key=value" as written, or "#key=value"; key and
+                    # value are read exactly, spaces and all
+                    body = line[2:] if line.startswith("# ") else line[1:]
                     if "=" not in body:
                         raise DomainError(
                             f"{path}:{line_no}: comment is not of the form '# key=value'"
                         )
-                    key, value = (part.strip() for part in body.split("=", 1))
+                    key, value = body.split("=", 1)
                     if key in comments:
                         raise DomainError(f"{path}:{line_no}: repeated comment key '{key}'")
                     comments[key] = value
@@ -256,11 +296,9 @@ def write_hits_csv(path, hits: HitSet):
 
     def blocks():
         for start in range(0, positions.size, _BLOCK_ROWS):
-            values = positions[start:start + _BLOCK_ROWS].tolist()
-            args = [0] * (2 * len(values))
-            args[0::2] = range(start, start + len(values))
-            args[1::2] = values
-            yield _HITS_ROW * len(values) % tuple(args)
+            stop = min(start + _BLOCK_ROWS, positions.size)
+            yield _join([int_chars(np.arange(start, stop)),
+                         float_chars(positions[start:stop])])
 
     _write_table(path, hits_comments(hits), HITS_HEADER, blocks())
 
@@ -320,8 +358,8 @@ def write_pattern_csv(path, grid, window, comments_extra=()):
         + window_comments(window)
         + [("screen_points", format_number(grid.positions.size))]
     )
-    _write_table(path, comments, "x_m,density",
-                 _blocks(grid.positions, "", ",%r\n", grid.values))
+    _write_table(path, comments, "x_m,density", _blocks(
+        grid.positions.size, [(_column_chars(grid.positions.tobytes()), 1)], grid.values))
 
 
 def write_panel_csv(path, x, param_name, param_values, matrix, comments):
@@ -339,9 +377,9 @@ def write_panel_csv(path, x, param_name, param_values, matrix, comments):
             f"{param_values.size} parameter values x {x.size} positions"
         )
 
-    blocks = (block for value_text, slice_ in zip(_float_texts(param_values), matrix)
-              for block in _blocks(x, "", ",%s,%r\n", slice_, value_text))
-    _write_table(path, comments, f"x_m,{param_name},density", blocks)
+    columns = [(_column_chars(x.tobytes()), 1), (float_chars(param_values), x.size)]
+    _write_table(path, comments, f"x_m,{param_name},density",
+                 _blocks(matrix.size, columns, matrix))
 
 
 def write_surface_csv(path, surface, comments_extra=()):
@@ -355,12 +393,18 @@ def write_surface_csv(path, surface, comments_extra=()):
         ("theta_flat", format_number(surface.theta_flat)),
     ]
 
-    def blocks():
-        # read only after the comments pass: the surface may be lazy
-        for theta_text, row in zip(_float_texts(surface.theta_grid), surface.loglik):
-            yield from _blocks(surface.phi_grid, "%s,", ",%r\n", row, theta_text)
-
-    _write_table(path, comments, "theta,phi,loglik", blocks())
+    # refuse a bad comment before the surface, which may be lazy, is computed
+    _check_comments(path, comments)
+    thetas = np.asarray(surface.theta_grid, dtype=float)
+    phis = np.asarray(surface.phi_grid, dtype=float)
+    loglik = np.asarray(surface.loglik, dtype=float)
+    if loglik.shape != (thetas.size, phis.size):
+        raise DomainError(
+            f"{path}: surface loglik shape {loglik.shape} does not match "
+            f"{thetas.size} theta points x {phis.size} phi points"
+        )
+    columns = [(float_chars(thetas), phis.size), (_column_chars(phis.tobytes()), 1)]
+    _write_table(path, comments, "theta,phi,loglik", _blocks(loglik.size, columns, loglik))
 
 
 def write_hypothesis_csv(path, result, comments_extra=()):

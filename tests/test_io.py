@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abflux import DomainError, FluxState, SampleConfig, sample_hits
 from abflux.inference import LikelihoodSurface
+from abflux._floattext import float_chars, shortest_digits
 from abflux.io import (
     HITS_HEADER,
     _BLOCK_ROWS,
@@ -19,8 +21,9 @@ from abflux.io import (
     write_pgm,
     write_surface_csv,
 )
-from abflux.pattern import DensityGrid
+from abflux.pattern import DensityGrid, ScreenGrid, density_grid
 from abflux.sampling import HitSet
+from abflux.slits import DEFAULT_WINDOW
 
 
 @pytest.fixture()
@@ -331,4 +334,115 @@ def test_comments_that_would_break_their_line_are_refused(tmp_path, key, value):
     path = tmp_path / "table.csv"
     with pytest.raises(DomainError, match="would break its line"):
         write_csv(path, [("alpha", "1.5"), (key, value)], "x", [("1.0",)])
+    assert not path.exists()
+
+
+def _texts(values):
+    return [bytes(row).translate(None, b"\0").decode() for row in float_chars(values)]
+
+
+def _assert_repr_text(values):
+    values = np.asarray(values, dtype=float)
+    assert _texts(values) == [repr(float(v)) for v in values]
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=40))
+def test_float_text_is_repr(values):
+    _assert_repr_text(values)
+
+
+def test_float_text_is_repr_at_every_binary_exponent():
+    rng = np.random.default_rng(11)
+    exponents = np.repeat(np.arange(2047, dtype=np.uint64), 16)
+    mantissas = rng.integers(0, 1 << 52, exponents.size, dtype=np.uint64)
+    signs = rng.integers(0, 2, exponents.size, dtype=np.uint64)
+    _assert_repr_text((signs << np.uint64(63) | exponents << np.uint64(52) | mantissas)
+                      .view(np.float64))
+
+
+def test_float_text_is_repr_at_the_edges():
+    powers_of_two = np.ldexp(1.0, np.arange(-1074, 1024))
+    powers_of_ten = np.array([10.0**k for k in range(-323, 309)])
+    switches = np.array([1e16, 1e-4, 1e-5, 9999999999999998.0, 1e16 + 2, 0.0001, 0.00011])
+    for values in (powers_of_two, powers_of_ten, switches, _AWKWARD):
+        for v in (values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)):
+            _assert_repr_text(np.concatenate([v, -v]))
+
+
+def test_screen_values_take_the_fast_path(jonsson):
+    # repr is a fallback for rare values: a pattern grid and a hit set
+    # must not need it
+    flux = FluxState(0.4, 1.2)
+    grid = density_grid(jonsson, flux, ScreenGrid.uniform(*DEFAULT_WINDOW, 8192))
+    hits = sample_hits(jonsson, flux, SampleConfig(n_hits=100_000, seed=5))
+    for values in (grid.positions, grid.values, hits.positions):
+        assert shortest_digits(np.abs(values))[0].all()
+
+
+@pytest.mark.parametrize("n", [11, 101, 1_001, 10_001, 100_001])
+def test_hits_rows_across_index_widths(tmp_path, jonsson, n):
+    # n rows cross the index width edge n - 2 -> n - 1 and, from 10_001 on,
+    # the block edges at multiples of _BLOCK_ROWS
+    x = np.sort(np.random.default_rng(n).uniform(-2e-5, 2e-5, n))
+    hits = HitSet(positions=x, config=SampleConfig(n_hits=n, seed=1),
+                  flux=FluxState(0.4, 1.2), geometry=jonsson)
+    path = tmp_path / "hits.csv"
+    write_hits_csv(path, hits)
+    expected = "".join(f"{i},{v!r}\n" for i, v in enumerate(x.tolist()))
+    assert _data_text(path, HITS_HEADER) == expected
+
+
+def test_surface_shape_must_match_its_grids(tmp_path):
+    path = tmp_path / "surface.csv"
+    surface = LikelihoodSurface(
+        theta_grid=np.array([0.1, 0.2]), phi_grid=np.array([0.0, 1.0, 2.0]),
+        loglik=np.array([[-1.0, -np.inf], [-2.0, -3.0]]), theta_hat=0.1,
+        phi_hat=0.0, loglik_max=-1.0, theta_flat=False,
+    )
+    with pytest.raises(DomainError, match=r"\(2, 2\) does not match 2 theta points x 3 phi"):
+        write_surface_csv(path, surface)
+    assert not path.exists()
+
+    surface = LikelihoodSurface(
+        theta_grid=np.array([0.1, 0.2]), phi_grid=np.array([0.0, 1.0]),
+        loglik=np.array([[-1.0, -np.inf], [-2.0, -3.0]]), theta_hat=0.1,
+        phi_hat=0.0, loglik_max=-1.0, theta_flat=False,
+    )
+    write_surface_csv(path, surface)
+    assert _data_text(path, "theta,phi,loglik") == (
+        "0.1,0.0,-1.0\n0.1,1.0,-inf\n0.2,0.0,-2.0\n0.2,1.0,-3.0\n")
+
+
+_COMMENT_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_COMMENT_TEXT, _COMMENT_TEXT), max_size=4))
+def test_every_accepted_comment_reads_back(tmp_path_factory, comments):
+    path = tmp_path_factory.mktemp("comments") / "table.csv"
+    try:
+        write_csv(path, comments, "x", [("1.0",)])
+    except DomainError:
+        assert not path.exists()
+        return
+    read, _, _ = read_csv(path)
+    assert list(read.items())[1:] == comments
+
+
+@pytest.mark.parametrize("key, value", [
+    (" input", "a.csv"), ("input", " a.csv "), ("input", "a.csv\t"),
+])
+def test_comment_spaces_read_back(tmp_path, key, value):
+    path = tmp_path / "table.csv"
+    write_csv(path, [(key, value)], "x", [("1.0",)])
+    assert read_csv(path)[0][key] == value
+
+
+@pytest.mark.parametrize("comments", [[("tool", "other")], [("seed", "1"), ("seed", "2")]])
+def test_repeated_comment_keys_are_refused(tmp_path, comments):
+    path = tmp_path / "table.csv"
+    with pytest.raises(DomainError, match="is given twice"):
+        write_csv(path, comments, "x", [("1.0",)])
     assert not path.exists()

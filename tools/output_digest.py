@@ -12,9 +12,10 @@ that write the same bytes print the same lines, so ``diff`` of two runs
 shows which outputs a change moved.
 
 The script covers every command that writes a file: ``simulate`` at
-theta = pi/2 and theta = 0, each at phi = 1.3 and phi = pi; ``pattern
+theta = pi/2 and theta = 0, each at phi = 1.3 and phi = pi, and once with
+LARGE_N_HITS hits (six-digit indices, many blocks of the hits writer); ``pattern
 --heatmap``; a 3 x 3 ``sweep``; ``figure3`` and ``figure4 --heatmap``;
-``infer`` on a 61 x 61 surface and ``discriminate`` on every hits file.
+``infer`` on a 61 x 61 surface and ``discriminate`` on each N_HITS file.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import tempfile
 from pathlib import Path
 
 N_HITS = "20000"   # more than one block of the hits writer
+LARGE_N_HITS = "120000"
 SEED = "7"
 
 
@@ -47,6 +49,8 @@ def _script():
             hits_files.append(hits)
             runs.append(["simulate", "--theta", repr(theta), "--phi", repr(phi),
                          "--n-hits", N_HITS, "--seed", SEED, "--out", str(hits)])
+    runs.append(["simulate", "--theta", repr(math.pi / 2), "--phi", "1.3",
+                 "--n-hits", LARGE_N_HITS, "--seed", SEED, "--out", str(out / "hits_large.csv")])
     runs.append(["pattern", "--theta", repr(math.pi / 2), "--phi", "1.3", "--heatmap",
                  "--out", str(out / "pattern.csv")])
     runs.append(["sweep", "--thetas", f"0,{math.pi / 2!r},{math.pi!r}",
