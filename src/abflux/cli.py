@@ -26,14 +26,13 @@ from .inference import DEFAULT_SURFACE_POINTS, fit_mle
 from .inference import discriminate as run_discriminate
 from .io import (
     _FLUX_KEYS,
-    _SAMPLE_KEYS,
     MODEL_KEYS,
-    format_number,
-    geometry_comments,
+    config_from_values,
+    flux_from_values,
     geometry_from_values,
+    model_comments,
     model_values,
     read_hits_csv,
-    window_comments,
     window_from_values,
     write_hits_csv,
     write_hypothesis_csv,
@@ -51,7 +50,7 @@ from .pattern import (
     disk_point,
     pattern_components,
 )
-from .sampling import DEFAULT_GRID_POINTS, SampleConfig, sample_hits
+from .sampling import DEFAULT_GRID_POINTS, HitSet, SampleConfig, sample_hits
 from .slits import DEFAULT_WINDOW, ApertureGeometry
 
 _MODEL_DEFAULTS = model_values(ApertureGeometry.jonsson(), DEFAULT_WINDOW)
@@ -98,14 +97,13 @@ class RunConfig:
         return geometry_from_values(self.values)
 
     def flux(self) -> FluxState:
-        return FluxState(**{key: self.values[key] for key in _FLUX_KEYS})
+        return flux_from_values(self.values)
 
     def window(self):
         return window_from_values(self.values)
 
     def sample_config(self) -> SampleConfig:
-        return SampleConfig(window=self.window(),
-                            **{key: self.values[key] for key in _SAMPLE_KEYS})
+        return config_from_values(self.values)
 
 
 def _merge(config_path, overrides) -> RunConfig:
@@ -201,15 +199,9 @@ def pattern(out_path, heatmap, **kwargs):
 
 
 def _panel_comments(command, run, panel_key, panel_value):
-    return (
-        [("command", command), (panel_key, format_number(panel_value))]
-        + geometry_comments(run.geometry())
-        + window_comments(run.window())
-        + [
-            ("screen_points", format_number(run["screen_points"])),
-            ("param_points", format_number(run["param_points"])),
-        ]
-    )
+    return [("command", command)] + model_comments({
+        panel_key: panel_value, **model_values(run.geometry(), run.window()),
+        "screen_points": run["screen_points"], "param_points": run["param_points"]})
 
 
 def _param_values(run, stop):
@@ -279,24 +271,25 @@ def simulate(out_path, **kwargs):
     click.echo(f"wrote {out_path} ({len(hits)} hits)")
 
 
-def _load_hits(path, run, allow_mismatch):
-    """Read a hits file and reconcile its provenance with the config.
+def _load_hits(path, run, allow_mismatch) -> HitSet:
+    """The hits file as the one HitSet an analysis runs on, its provenance
+    reconciled with the config.
 
     Explicitly configured geometry/window values must agree with the file;
     on disagreement the run is refused unless --allow-mismatch was passed,
-    in which case the configured model is used as given.  Values the user
-    did not set are adopted from the file.  grid_points is returned as set
-    by flag or config, else None: the likelihood then takes the file's.
+    in which case the set carries the configured geometry and window as
+    given.  Values the user did not set are adopted from the file.  The
+    set's grid_points, which the likelihood normalizes on, is the one set by
+    flag or config, else the file's.
     """
     hits = read_hits_csv(path)
-    grid_points = run["grid_points"] if "grid_points" in run.explicit else None
-    file_values = model_values(hits.geometry, hits.config.window)
+    values = model_values(hits.geometry, hits.config.window, hits.flux, hits.config)
     mismatched = []
     for key, _ in MODEL_KEYS:
         if key not in run.explicit:
             continue
         configured = run[key]
-        recorded = file_values[key]
+        recorded = values[key]
         scale = max(abs(configured), abs(recorded))
         if abs(configured - recorded) > 1e-12 * scale:
             mismatched.append(
@@ -308,19 +301,18 @@ def _load_hits(path, run, allow_mismatch):
                 f"{path}: provenance mismatch; " + "; ".join(mismatched)
                 + " (pass --allow-mismatch to analyze under the configured model)"
             )
-        return hits, run.geometry(), run.window(), grid_points
-    return hits, hits.geometry, hits.config.window, grid_points
+        values.update((key, run[key]) for key, _ in MODEL_KEYS)
+    if "grid_points" in run.explicit:
+        values["grid_points"] = run["grid_points"]
+    return HitSet(positions=hits.positions, config=config_from_values(values),
+                  flux=hits.flux, geometry=geometry_from_values(values))
 
 
-def _analysis_comments(command, hits_file, hits, geometry, window, grid_points):
-    """Provenance of an analysis, with the grid_points the likelihood used."""
-    used = hits.config.grid_points if grid_points is None else grid_points
-    return (
-        [("command", command), ("input", str(hits_file))]
-        + geometry_comments(geometry)
-        + window_comments(window)
-        + [("grid_points", format_number(used))]
-    )
+def _analysis_comments(command, hits_file, hits):
+    """Provenance of an analysis: the model of the HitSet it ran on."""
+    return [("command", command), ("input", str(hits_file))] + model_comments({
+        **model_values(hits.geometry, hits.config.window),
+        "grid_points": hits.config.grid_points})
 
 
 @cli.command()
@@ -332,14 +324,9 @@ def _analysis_comments(command, hits_file, hits, geometry, window, grid_points):
 def infer(hits_file, out_path, allow_mismatch, **kwargs):
     """Likelihood surface and maximum-likelihood angles for a hits file."""
     run = _merge(kwargs.pop("config_path"), kwargs)
-    hits, geometry, window, grid_points = _load_hits(hits_file, run, allow_mismatch)
-    surface = fit_mle(
-        hits, geometry=geometry, window=window,
-        theta_points=run["theta_points"], phi_points=run["phi_points"],
-        grid_points=grid_points,
-    )
-    comments = _analysis_comments("infer", hits_file, hits, geometry, window, grid_points)
-    write_surface_csv(out_path, surface, comments)
+    hits = _load_hits(hits_file, run, allow_mismatch)
+    surface = fit_mle(hits, theta_points=run["theta_points"], phi_points=run["phi_points"])
+    write_surface_csv(out_path, surface, _analysis_comments("infer", hits_file, hits))
     _echo_wrote(out_path)
     click.echo(
         "theta_hat=%.6f phi_hat=%.6f loglik_max=%.6f theta_flat=%s"
@@ -357,12 +344,9 @@ def infer(hits_file, out_path, allow_mismatch, **kwargs):
 def discriminate(hits_file, out_path, allow_mismatch, **kwargs):
     """Superposition-vs-definite-flux likelihood comparison for a hits file."""
     run = _merge(kwargs.pop("config_path"), kwargs)
-    hits, geometry, window, grid_points = _load_hits(hits_file, run, allow_mismatch)
-    result = run_discriminate(hits, geometry=geometry, window=window,
-                              grid_points=grid_points)
-    comments = _analysis_comments("discriminate", hits_file, hits, geometry, window,
-                                  grid_points)
-    write_hypothesis_csv(out_path, result, comments)
+    hits = _load_hits(hits_file, run, allow_mismatch)
+    result = run_discriminate(hits)
+    write_hypothesis_csv(out_path, result, _analysis_comments("discriminate", hits_file, hits))
     _echo_wrote(out_path)
     click.echo(
         "llr=%.6f n_hits=%d definite_direction=%s"

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, _checked_count, _checked_real
-from .pattern import combine_components, disk_point, pattern_components
+from .pattern import combine_components, disk_angles, disk_point, pattern_components
 from .sampling import DEFAULT_GRID_POINTS, HitSet, _checked_hits, _window_grid
 from .slits import ApertureGeometry
 
@@ -534,10 +534,8 @@ def _discriminate_ctx(ctx):
     phi_hat, loglik_sup = definite_phi, loglik_definite
     point = _newton_disk(ctx, g1, g2)
     if point is not None:
-        c, s = point
-        theta = float(np.arccos(np.clip(s / np.sqrt((1.0 - c) * (1.0 + c)), -1.0, 1.0)))
-        phi = float(np.arccos(c))
-        value = ctx.loglik(c, s)
+        theta, phi = map(float, disk_angles(*point))
+        value = ctx.loglik(*point)
         # the definite optimum is a point of the superposition family; folding
         # it in makes the nesting inequality exact instead of rounding-limited
         if value > loglik_definite:

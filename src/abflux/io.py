@@ -10,6 +10,11 @@ and values exactly as written, spaces included.  Numbers are written as
 their ``repr`` so they round-trip bit-exactly through ``float``.  Data rows
 follow a single ``name,name,...`` header line.
 
+One map joins settings and model objects: :func:`model_values` lists a
+model's settings in provenance order (geometry, flux, window, sampling),
+:func:`model_comments` formats them, and the ``*_from_values`` functions
+build the model objects from a run's settings or a hits file's provenance.
+
 The array writers build their data rows _BLOCK_ROWS rows at a time, and
 numpy computes the ``repr`` text of a whole block of floats at once
 (:func:`abflux._floattext.float_chars`) as a NUL-padded character matrix,
@@ -39,9 +44,10 @@ from .pattern import FluxState
 from .sampling import HitSet, SampleConfig
 from .slits import ApertureGeometry
 
-# Every model setting a provenance block or config names: its key and the
-# ApertureGeometry field it carries, or None for the two window edges
-# (x_min, then x_max).  Provenance blocks list the keys in this order.
+# Every geometry and window setting a provenance block or config names: its
+# key and the ApertureGeometry field it carries, or None for the two window
+# edges (x_min, then x_max).  Provenance blocks list the keys in this order,
+# with the flux keys, when present, between the geometry and the window.
 MODEL_KEYS = (
     ("source_to_slit_m", "source_to_slit"),
     ("slit_to_screen_m", "slit_to_screen"),
@@ -61,11 +67,22 @@ HITS_HEADER = "index,x_m"
 _BLOCK_ROWS = 1 << 12       # data rows per block of text
 
 
-def model_values(geometry: ApertureGeometry, window):
-    """Key -> value of every MODEL_KEYS setting, in table order."""
+def model_values(geometry: ApertureGeometry, window, flux=None, config=None):
+    """Key -> value of the model settings, in provenance order: the
+    geometry, then the flux if given, then the window, then the sampling
+    settings of the SampleConfig ``config`` if given."""
     values = {key: getattr(geometry, field) for key, field in _GEOMETRY_FIELDS}
+    if flux is not None:
+        values.update((key, getattr(flux, key)) for key in _FLUX_KEYS)
     values.update(zip(_WINDOW_KEYS, window))
+    if config is not None:
+        values.update((key, getattr(config, key)) for key in _SAMPLE_KEYS)
     return values
+
+
+def model_comments(values):
+    """The provenance comment pairs of a key -> value mapping, in its order."""
+    return [(key, format_number(value)) for key, value in values.items()]
 
 
 def geometry_from_values(values) -> ApertureGeometry:
@@ -73,9 +90,21 @@ def geometry_from_values(values) -> ApertureGeometry:
     return ApertureGeometry(**{field: values[key] for key, field in _GEOMETRY_FIELDS})
 
 
+def flux_from_values(values) -> FluxState:
+    """The flux state named by a mapping that holds the FluxState fields."""
+    return FluxState(**{key: values[key] for key in _FLUX_KEYS})
+
+
 def window_from_values(values):
     """The (x_min, x_max) window named by a mapping of MODEL_KEYS keys."""
     return tuple(values[key] for key in _WINDOW_KEYS)
+
+
+def config_from_values(values) -> SampleConfig:
+    """The sampling configuration named by a mapping that holds the window
+    keys and the other SampleConfig fields."""
+    return SampleConfig(window=window_from_values(values),
+                        **{key: values[key] for key in _SAMPLE_KEYS})
 
 
 def format_number(value):
@@ -141,19 +170,6 @@ def _blocks(n_rows, columns, values):
         index = np.arange(start, stop)
         fields = [_rows_of(chars, index // repeat % len(chars)) for chars, repeat in columns]
         yield _join(fields + [float_chars(values[start:stop])])
-
-
-def geometry_comments(geometry: ApertureGeometry):
-    return [(key, format_number(getattr(geometry, field)))
-            for key, field in _GEOMETRY_FIELDS]
-
-
-def flux_comments(flux: FluxState):
-    return [(key, format_number(getattr(flux, key))) for key in _FLUX_KEYS]
-
-
-def window_comments(window):
-    return [(key, format_number(edge)) for key, edge in zip(_WINDOW_KEYS, window)]
 
 
 def _check_comments(path, comments):
@@ -280,16 +296,6 @@ def _read_rows(path, first_line, lines, n_fields):
     return np.array(rows, dtype=float)
 
 
-def hits_comments(hits: HitSet):
-    cfg = hits.config
-    return (
-        geometry_comments(hits.geometry)
-        + flux_comments(hits.flux)
-        + window_comments(cfg.window)
-        + [(key, format_number(getattr(cfg, key))) for key in _SAMPLE_KEYS]
-    )
-
-
 def write_hits_csv(path, hits: HitSet):
     """The hits as ``index,x_m`` rows, formatted _BLOCK_ROWS rows at a time."""
     positions = hits.positions
@@ -300,7 +306,9 @@ def write_hits_csv(path, hits: HitSet):
             yield _join([int_chars(np.arange(start, stop)),
                          float_chars(positions[start:stop])])
 
-    _write_table(path, hits_comments(hits), HITS_HEADER, blocks())
+    comments = model_comments(model_values(hits.geometry, hits.config.window,
+                                           hits.flux, hits.config))
+    _write_table(path, comments, HITS_HEADER, blocks())
 
 
 def _comment_value(comments, key, path, kind):
@@ -329,12 +337,11 @@ def read_hits_csv(path) -> HitSet:
         raise DomainError(
             f"{path}: expected header '{HITS_HEADER}', got {','.join(header)!r}"
         )
-    model = {key: _comment_value(comments, key, path, float) for key, _ in MODEL_KEYS}
-    geometry = geometry_from_values(model)
-    flux = FluxState(**{key: _comment_value(comments, key, path, float)
-                        for key in _FLUX_KEYS})
-    config = SampleConfig(window=window_from_values(model), **{
-        key: _comment_value(comments, key, path, int) for key in _SAMPLE_KEYS})
+    kinds = ({key: float for key, _ in MODEL_KEYS} | dict.fromkeys(_FLUX_KEYS, float)
+             | dict.fromkeys(_SAMPLE_KEYS, int))
+    values = {key: _comment_value(comments, key, path, kind) for key, kind in kinds.items()}
+    geometry, flux = geometry_from_values(values), flux_from_values(values)
+    config = config_from_values(values)
     if data.shape[0] != config.n_hits:
         raise DomainError(
             f"{path}: comments promise n_hits={config.n_hits} "
@@ -351,13 +358,8 @@ def read_hits_csv(path) -> HitSet:
 def write_pattern_csv(path, grid, window, comments_extra=()):
     """Screen density as ``x_m,density`` rows (the grid's one flux state),
     recording the (x_min, x_max) window the grid spans."""
-    comments = (
-        list(comments_extra)
-        + geometry_comments(grid.geometry)
-        + flux_comments(grid.flux)
-        + window_comments(window)
-        + [("screen_points", format_number(grid.positions.size))]
-    )
+    comments = list(comments_extra) + model_comments(
+        {**model_values(grid.geometry, window, grid.flux), "screen_points": grid.positions.size})
     _write_table(path, comments, "x_m,density", _blocks(
         grid.positions.size, [(_column_chars(grid.positions.tobytes()), 1)], grid.values))
 

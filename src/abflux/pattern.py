@@ -169,6 +169,12 @@ def disk_point(theta, phi):
     return np.cos(phi), np.sin(phi) * np.cos(theta)
 
 
+def disk_angles(c, s):
+    """The (theta, phi), phi in [0, pi], of an interior point (c, s) of the
+    unit disk, elementwise over arrays: the inverse of disk_point there."""
+    return np.arccos(np.clip(s / np.sqrt((1.0 - c) * (1.0 + c)), -1.0, 1.0)), np.arccos(c)
+
+
 def combine_components(components, c, s):
     """The density A + B c + C s of components (A, B, C) at disk points (c, s)."""
     comp_a, comp_b, comp_c = components

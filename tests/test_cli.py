@@ -525,3 +525,20 @@ def test_likelihood_grid_comes_from_the_hits_file(tmp_path, capsys):
                             capsys.readouterr().out.splitlines()[-1]))
         assert [grid for grid, _, _ in outputs] == ["64", "64", "64", "8192"]
         assert outputs[0][1:] == outputs[1][1:] == outputs[2][1:] != outputs[3][1:]
+
+
+def test_empty_hits_file(tmp_path, capsys, jonsson):
+    # a file of no hits reads back whole, and the analyses refuse it
+    hits = tmp_path / "hits.csv"
+    run_ok(["simulate", "--out", str(hits), "--n-hits", "0", "--seed", "3",
+            "--theta", HALF_PI, "--phi", "1.3", "--grid-points", "64"])
+    read = read_hits_csv(hits)
+    assert read.positions.shape == (0,)
+    assert read.config == SampleConfig(grid_points=64, n_hits=0, seed=3)
+    assert read.flux == FluxState(np.pi / 2, 1.3)
+    assert read.geometry == jonsson
+    for command in ("discriminate", "infer"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, str(hits), "--out", str(out)]) == 2
+        assert "empty hit set" in capsys.readouterr().err
+        assert not out.exists()

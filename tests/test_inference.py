@@ -724,3 +724,9 @@ def test_likelihood_grid_defaults_to_the_hits_grid(jonsson):
     bare = dict(geometry=jonsson, window=DEFAULT_WINDOW)
     assert log_likelihood(hits.positions, theta=1.0, phi=1.2, **bare) == log_likelihood(
         hits, theta=1.0, phi=1.2, grid_points=8192)
+
+
+def test_circle_angles_at_the_seam():
+    # alpha = -pi is the circle point alpha = pi: up, at phi = pi
+    assert inference._circle_angles(-math.pi) == (math.pi, 0.0, math.pi)
+    assert inference._circle_angles(-0.5) == (-0.5, math.pi, 0.5)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from abflux import DomainError, FluxState, SampleConfig, sample_hits
 from abflux.inference import LikelihoodSurface
-from abflux._floattext import float_chars, shortest_digits
+from abflux._floattext import float_chars, int_chars, shortest_digits
 from abflux.io import (
     HITS_HEADER,
     _BLOCK_ROWS,
@@ -446,3 +446,24 @@ def test_repeated_comment_keys_are_refused(tmp_path, comments):
     with pytest.raises(DomainError, match="is given twice"):
         write_csv(path, comments, "x", [("1.0",)])
     assert not path.exists()
+
+
+def _int_texts(values):
+    return [bytes(row).replace(b"\0", b"").decode() for row in int_chars(values)]
+
+
+def test_int_text_is_str_for_wide_indices():
+    # from 9 digits on an index spans more than one 8-digit group
+    edges = [10**8 - 1, 10**8, 10**15, 10**16 - 1]
+    rng = np.random.default_rng(16)
+    values = rng.integers(0, 10 ** rng.integers(1, 17, 4000, dtype=np.int64))
+    for batch in [values, np.array(edges)] + [np.array([v]) for v in edges]:
+        assert _int_texts(batch) == [str(int(v)) for v in batch]
+
+
+def test_read_csv_skips_blank_lines_before_the_header(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"# a=1\n\n\r\nx,y\n")
+    comments, header, data = read_csv(path)
+    assert comments == {"a": "1"} and header == ["x", "y"]
+    assert data.shape == (0, 2)

@@ -20,7 +20,8 @@ from abflux import (
     slit_amplitude_pair,
 )
 from abflux import pattern as pattern_module
-from abflux.pattern import _POSITION_BLOCK, HBAR_CGS, SPEED_OF_LIGHT_CGS
+from abflux.pattern import (_POSITION_BLOCK, HBAR_CGS, SPEED_OF_LIGHT_CGS, disk_angles,
+                            disk_point)
 from conftest import symmetric_grid
 
 THETAS = np.linspace(0.0, np.pi, 7)
@@ -293,3 +294,17 @@ def test_density_grid_refuses_non_finite_entries(jonsson):
         bad[0 if edge < 0 else -1] = edge
         with pytest.raises(DomainError, match="must be finite"):
             DensityGrid(positions=bad, values=np.ones(4), geometry=jonsson, flux=flux)
+
+
+def test_disk_angles_invert_disk_point():
+    # interior points of the disk, out to radius 0.999, and its centre
+    rng = np.random.default_rng(31)
+    radius = 0.999 * np.sqrt(rng.uniform(0.0, 1.0, 20000))
+    alpha = rng.uniform(-np.pi, np.pi, radius.size)
+    c = np.append(radius * np.cos(alpha), 0.0)
+    s = np.append(radius * np.sin(alpha), 0.0)
+    theta, phi = disk_angles(c, s)
+    assert np.all((0.0 <= theta) & (theta <= np.pi) & (0.0 <= phi) & (phi <= np.pi))
+    back_c, back_s = disk_point(theta, phi)
+    assert np.max(np.abs(back_c - c)) <= 1e-12
+    assert np.max(np.abs(back_s - s)) <= 1e-12
