@@ -27,17 +27,26 @@ slices and surface rows.  The text of the leading float column (screen
 positions, or the surface's phi values) is kept as one character matrix,
 keyed by the column's bytes, so a sweep's files and a figure's panels on
 one screen grid format it once.
+
+The reader takes the comment and header lines as text (a leading UTF-8
+byte-order mark is skipped), then reads the data block as bytes, about
+_READ_BYTES of whole lines at a time.  numpy finds each block's commas and
+newlines and reads every field back as the double ``float`` gives, bit for
+bit (:func:`abflux._floattext.float_rows`); a field the vectorised reader
+cannot certify, or whose text is not in the forms it knows, takes ``float``
+itself.  Line ends "\\r\\n" and "\\r" and blank lines read as text mode
+reads them.  Where a block does not parse, the data block is read again
+line by line, so that an error names its line.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import fields
 
 import numpy as np
 
-from ._floattext import float_chars, int_chars
+from ._floattext import PAD, float_chars, float_rows, int_chars, padded
 from ._version import __version__
 from .errors import DomainError, _checked_array
 from .pattern import FluxState
@@ -65,6 +74,7 @@ _FLUX_KEYS = tuple(f.name for f in fields(FluxState))
 _SAMPLE_KEYS = tuple(f.name for f in fields(SampleConfig) if f.name != "window")
 HITS_HEADER = "index,x_m"
 _BLOCK_ROWS = 1 << 12       # data rows per block of text
+_READ_BYTES = 1 << 18       # bytes per block of data text read
 
 
 def model_values(geometry: ApertureGeometry, window, flux=None, config=None):
@@ -227,55 +237,109 @@ def read_csv(path):
     """
     comments = {}
     header = None
-    data = None
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    offset = 0              # bytes up to the end of the header line
+    try:
+        # newline="" splits lines as text mode does but keeps their ends,
+        # so that their bytes add up to the data block's offset
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             for line_no, raw in enumerate(fh, start=1):
+                offset += len(raw.encode("utf-8"))
+                if line_no == 1:
+                    raw = raw.removeprefix("\ufeff")    # a byte-order mark, as utf-8-sig skips it
                 line = raw.rstrip("\n").rstrip("\r")
                 if not line:
                     continue
-                if header is not None:
-                    # the data block runs from here to the end of the file
-                    rest = itertools.chain([raw], fh)
-                    data = _read_rows(path, line_no, rest, len(header))
+                if not line.startswith("#"):
+                    header = [name.strip() for name in line.split(",")]
                     break
-                if line.startswith("#"):
-                    # "# key=value" as written, or "#key=value"; key and
-                    # value are read exactly, spaces and all
-                    body = line[2:] if line.startswith("# ") else line[1:]
-                    if "=" not in body:
-                        raise DomainError(
-                            f"{path}:{line_no}: comment is not of the form '# key=value'"
-                        )
-                    key, value = body.split("=", 1)
-                    if key in comments:
-                        raise DomainError(f"{path}:{line_no}: repeated comment key '{key}'")
-                    comments[key] = value
-                    continue
-                header = [name.strip() for name in line.split(",")]
-        except UnicodeDecodeError as exc:
-            raise DomainError(f"{path}: not UTF-8 text: {exc}") from None
-    if header is None:
-        raise DomainError(f"{path}: no header line found")
-    if data is None:
-        data = np.empty((0, len(header)))
+                # "# key=value" as written, or "#key=value"; key and value
+                # are read exactly, spaces and all
+                body = line[2:] if line.startswith("# ") else line[1:]
+                if "=" not in body:
+                    raise DomainError(
+                        f"{path}:{line_no}: comment is not of the form '# key=value'"
+                    )
+                key, value = body.split("=", 1)
+                if key in comments:
+                    raise DomainError(f"{path}:{line_no}: repeated comment key '{key}'")
+                comments[key] = value
+        if header is None:
+            raise DomainError(f"{path}: no header line found")
+        data = _read_rows(path, line_no + 1, offset, len(header))
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text: {exc}") from None
     return comments, header, data
 
 
-def _read_rows(path, first_line, lines, n_fields):
+def _line_blocks(fh):
+    """The rest of the binary file ``fh`` in blocks of whole lines, about
+    _READ_BYTES at a time, each a character array in the layout of
+    :func:`abflux._floattext.padded`."""
+    rest = b""
+    while True:
+        text = bytearray(PAD + len(rest) + _READ_BYTES)
+        text[PAD:PAD + len(rest)] = rest
+        size = PAD + len(rest) + fh.readinto(memoryview(text)[PAD + len(rest):])
+        if size == PAD + len(rest):
+            if rest:
+                yield padded(_plain_lines(rest + b"\n"))
+            return
+        cut = text.rfind(b"\n", PAD, size) + 1
+        rest = bytes(text[max(cut, PAD):size])
+        if text.find(b"\r", PAD, cut) >= 0:
+            yield padded(_plain_lines(bytes(text[PAD:cut])))
+        elif cut:
+            yield np.frombuffer(text, np.uint8, cut)
+
+
+def _plain_lines(text):
+    """``text``, whole lines, with every line end ("\\r\\n", "\\r" or
+    "\\n", as text mode reads them) a newline and no blank lines."""
+    text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    while b"\n\n" in text:
+        text = text.replace(b"\n\n", b"\n")
+    return text.removeprefix(b"\n")
+
+
+def _block_rows(chars, n_fields):
+    """:func:`abflux._floattext.float_rows` of a block of lines, which
+    may hold blank lines."""
+    try:
+        return float_rows(chars, n_fields)
+    except ValueError:
+        return float_rows(padded(_plain_lines(chars[PAD:].tobytes())), n_fields)
+
+
+def _read_rows(path, first_line, offset, n_fields):
     """The data block of :func:`read_csv` as a float matrix.
 
-    ``lines`` holds the file from its first data line, ``first_line``, on.
-    One numpy call parses the block.  Where it refuses, the lines are read
-    again one at a time, as ``float`` reads them, so that an error names its
-    line.
+    The block runs from byte ``offset``, line ``first_line``, to the end of
+    the file.  :func:`abflux._floattext.float_rows` parses it a block of
+    lines at a time.  Where it refuses, the lines are read again one at a
+    time, as ``float`` reads them, so that an error names its line.
     """
-    try:
-        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-        if data.shape[1] == n_fields:
-            return data
-    except ValueError:
-        pass
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        # a row per newline, and one more for a last line without one, so
+        # that the rows go straight into one matrix
+        size = 1
+        text = bytearray(_READ_BYTES)
+        read = np.frombuffer(text, np.uint8)
+        while got := fh.readinto(text):
+            size += np.count_nonzero(read[:got] == ord("\n"))
+        fh.seek(offset)
+        data = np.empty((size, n_fields))
+        rows = 0
+        try:
+            for chars in _line_blocks(fh):
+                block = _block_rows(chars, n_fields)
+                if rows + len(block) > len(data):   # lone carriage returns end lines too
+                    data = np.concatenate([data[:rows], np.empty((rows + 2 * len(block), n_fields))])
+                data[rows:rows + len(block)] = block
+                rows += len(block)
+            return data[:rows]
+        except ValueError:
+            pass
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):

@@ -1,12 +1,17 @@
 """File-format tests: provenance round-trips, parse errors, graymaps."""
 
+import codecs
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from abflux import DomainError, FluxState, SampleConfig, sample_hits
 from abflux.inference import LikelihoodSurface
-from abflux._floattext import float_chars, int_chars, shortest_digits
+import abflux.io
+from abflux._floattext import (
+    decimal_values, float_chars, float_rows, int_chars, padded, shortest_digits, text_fields,
+)
 from abflux.io import (
     HITS_HEADER,
     _BLOCK_ROWS,
@@ -467,3 +472,175 @@ def test_read_csv_skips_blank_lines_before_the_header(tmp_path):
     comments, header, data = read_csv(path)
     assert comments == {"a": "1"} and header == ["x", "y"]
     assert data.shape == (0, 2)
+
+
+def _text_of(values):
+    # the repr text of each value, one per line
+    return b"".join(bytes(row).translate(None, b"\0") + b"\n" for row in float_chars(values))
+
+
+def _assert_bits_equal(got, expected):
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_subnormal=True), min_size=1, max_size=40))
+def test_reader_inverts_float_text(values):
+    _assert_bits_equal(float_rows(padded(_text_of(values)), 1).ravel(), values)
+
+
+def test_reader_inverts_float_text_at_the_edges():
+    powers_of_two = np.ldexp(1.0, np.arange(-1074, 1024))
+    powers_of_ten = np.array([10.0**k for k in range(-323, 309)])
+    extremes = np.array([0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                         1.7976931348623157e308, np.inf])
+    rng = np.random.default_rng(22)
+    bits = rng.integers(0, 2**63 - 2**52, 20_000, dtype=np.int64)    # finite doubles
+    for values in (powers_of_two, powers_of_ten, extremes, _AWKWARD, bits.view(np.float64)):
+        with np.errstate(over="ignore"):        # the largest double's next is inf
+            above = np.nextafter(values, np.inf)
+        for v in (values, np.nextafter(values, 0.0), above):
+            v = np.concatenate([v, -v])
+            _assert_bits_equal(float_rows(padded(_text_of(v)), 1).ravel(), v)
+
+
+def test_reader_rounds_ties_and_extremes_as_float_does():
+    # decimals halfway between two doubles, with a power of ten that is not
+    # a double: n + 1/2 between doubles 1 apart, n + 1/4 and n + 3/4 between
+    # doubles 1/2 apart, and the same scaled by powers of ten
+    rng = np.random.default_rng(9)
+    halves = rng.integers(2**52, 2**53, 500)
+    quarters = rng.integers(2**51, 2**52, 500)
+    texts = ([f"{n}.5" for n in halves.tolist()] + [f"{n}.{f}" for n in quarters.tolist()
+                                                    for f in ("25", "75")])
+    texts += [f"{t}e{k:+03d}" for k in (-300, -30, -3, 3, 30, 200) for t in texts[::50]]
+    # and past the largest double, and below the least
+    texts += ["1.7976931348623157e+308", "1.7976931348623158e+308", "1.8e+308", "9e+308",
+              "1e+309", "99999999999999999e+292", "1e-291", "9e-292", "1e-323", "2e-324"]
+    text = "".join(t + "\n" for t in texts).encode()
+    _assert_bits_equal(float_rows(padded(text), 1).ravel(), [float(t) for t in texts])
+
+
+def _accepted(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+# decimal texts float() reads: signs, leading zeros, up to 40 digits, a
+# point anywhere or none, "e" or "E" exponents with or without a sign, and
+# surrounding spaces; half of them in the writer's forms ("-", up to 17
+# digits on each side of the point, "e-05" or "e+123")
+def _decimal_text(space, sign, whole, point, frac, mark, exponent):
+    return space + sign + whole + point + frac + (mark + exponent if mark else "") + space
+
+
+_DIGITS = st.text("0123456789", max_size=20)
+_DECIMAL_TEXT = st.one_of(
+    st.builds(_decimal_text, st.just(""), st.sampled_from(["", "-"]),
+              st.text("0123456789", max_size=17), st.sampled_from(["", "."]),
+              st.text("0123456789", max_size=17), st.sampled_from(["", "e-", "e+"]),
+              st.text("0123456789", min_size=2, max_size=3)),
+    st.builds(_decimal_text, st.sampled_from(["", " ", "\t"]), st.sampled_from(["", "-", "+"]),
+              _DIGITS, st.sampled_from(["", "."]), _DIGITS,
+              st.sampled_from(["", "e", "E", "e+", "e-", "E-"]),
+              st.text("0123456789", min_size=1, max_size=4)),
+).filter(_accepted)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(_DECIMAL_TEXT, min_size=1, max_size=20))
+def test_reader_reads_any_decimal_text_as_float_does(texts):
+    text = "".join(t + "\n" for t in texts).encode()
+    _assert_bits_equal(float_rows(padded(text), 1).ravel(), [float(t) for t in texts])
+
+
+def _vector_path(text, n_fields):
+    # whether each field of each column is read without float()
+    chars = padded(text)
+    starts, ends = text_fields(chars)
+    return np.stack([decimal_values(chars, starts[j::n_fields], ends[j::n_fields])[0]
+                     for j in range(n_fields)], axis=1)
+
+
+def test_hits_and_density_text_take_the_vector_path(tmp_path, jonsson):
+    flux = FluxState(0.4, 1.2)
+    path = tmp_path / "hits.csv"
+    write_hits_csv(path, sample_hits(jonsson, flux, SampleConfig(n_hits=100_000, seed=5)))
+    assert _vector_path(_data_text(path, HITS_HEADER).encode(), 2).all()
+    grid = density_grid(jonsson, flux, ScreenGrid.uniform(*DEFAULT_WINDOW, 8192))
+    path = tmp_path / "pattern.csv"
+    write_pattern_csv(path, grid, DEFAULT_WINDOW)
+    assert _vector_path(_data_text(path, "x_m,density").encode(), 2).all()
+    back = read_csv(path)[2]
+    _assert_bits_equal(back, np.stack([grid.positions, grid.values], axis=1))
+
+
+# read_csv's data block as text mode read it: line ends, blank lines,
+# spaces, and the text float() reads besides the writer's own
+@pytest.mark.parametrize("text, rows", [
+    (b"x,y\r\n1.5,2\r\n3,4\r\n", [[1.5, 2.0], [3.0, 4.0]]),
+    (b"x,y\n1.5,2\r3,4\n", [[1.5, 2.0], [3.0, 4.0]]),
+    (b"x,y\r1.5,2\r3,4\r", [[1.5, 2.0], [3.0, 4.0]]),
+    (b"x,y\n1,2\r\r\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    (b"x,y\n\n1,2\n\n3,4\n\n\n5,6\n\n", [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+    (b"x,y\n1,2\r\n\r\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    (b"x,y\n1,2\n3,4", [[1.0, 2.0], [3.0, 4.0]]),
+    (b"x,y\n 1 , 2\t\n\t3,4 \n", [[1.0, 2.0], [3.0, 4.0]]),
+    (b"x,y\n1_0,2\n", [[10.0, 2.0]]),
+    ("x,y\n\u0661\u0662,\uff13.5\n".encode(), [[12.0, 3.5]]),
+    (b"x\n1\n\n-0\n", [[1.0], [-0.0]]),
+    (b"x,y\n", np.empty((0, 2))),
+    (b"x,y\n\n\r\n", np.empty((0, 2))),
+])
+@pytest.mark.parametrize("block", [None, 5])
+def test_read_csv_edge_text(tmp_path, monkeypatch, text, rows, block):
+    if block:
+        # blocks of a few bytes cut the text at every place
+        monkeypatch.setattr(abflux.io, "_READ_BYTES", block)
+    path = tmp_path / "table.csv"
+    path.write_bytes(text)
+    _assert_bits_equal(read_csv(path)[2], rows)
+
+
+@pytest.mark.parametrize("text, message", [
+    (b"x,y\n1,2,\n3,4\n", "table.csv:2: expected 2 fields, got 3"),
+    (b"x,y\n1,2\n   \n3,4\n", "table.csv:3: expected 2 fields, got 1"),
+    (b"x\n1\n  \n", "table.csv:3: could not convert string to float: '  '"),
+    (b"x,y\n1,\n", "table.csv:2: could not convert string to float: ''"),
+    (b"x,y\n1,2\n\xff,3\n", "table.csv: not UTF-8 text"),
+])
+def test_read_csv_errors_name_their_line(tmp_path, text, message):
+    path = tmp_path / "table.csv"
+    path.write_bytes(text)
+    with pytest.raises(DomainError, match=message):
+        read_csv(path)
+
+
+def test_read_csv_error_in_a_later_block_names_its_line(tmp_path, small_hits, monkeypatch):
+    monkeypatch.setattr(abflux.io, "_READ_BYTES", 64)
+    path = tmp_path / "hits.csv"
+    write_hits_csv(path, small_hits)
+    lines = path.read_text().splitlines()
+    bad = len(lines) - 10
+    lines[bad] = lines[bad].replace(",", ",x")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DomainError, match=f"hits.csv:{bad + 1}: could not convert"):
+        read_hits_csv(path)
+
+
+def test_read_csv_skips_a_byte_order_mark(tmp_path, small_hits):
+    path = tmp_path / "table.csv"
+    path.write_bytes(codecs.BOM_UTF8 + b"# a=1\n# b=2\nx,y\n1,2\n")
+    comments, header, data = read_csv(path)
+    assert comments == {"a": "1", "b": "2"} and header == ["x", "y"]
+    _assert_bits_equal(data, [[1.0, 2.0]])
+    path.write_bytes(codecs.BOM_UTF8 + b"x,y\n1,2\n")
+    assert read_csv(path)[1] == ["x", "y"]
+    write_hits_csv(path, small_hits)
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    _assert_bits_equal(read_hits_csv(path).positions, small_hits.positions)

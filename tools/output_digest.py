@@ -15,7 +15,9 @@ The script covers every command that writes a file: ``simulate`` at
 theta = pi/2 and theta = 0, each at phi = 1.3 and phi = pi, and once with
 LARGE_N_HITS hits (six-digit indices, many blocks of the hits writer); ``pattern
 --heatmap``; a 3 x 3 ``sweep``; ``figure3`` and ``figure4 --heatmap``;
-``infer`` on a 61 x 61 surface and ``discriminate`` on each N_HITS file.
+``infer`` on a 61 x 61 surface and ``discriminate`` on each N_HITS file,
+and ``discriminate`` on the LARGE_N_HITS file, which the hits reader reads in
+many blocks.
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ def _script():
             hits_files.append(hits)
             runs.append(["simulate", "--theta", repr(theta), "--phi", repr(phi),
                          "--n-hits", N_HITS, "--seed", SEED, "--out", str(hits)])
+    large = out / "hits_large.csv"
     runs.append(["simulate", "--theta", repr(math.pi / 2), "--phi", "1.3",
-                 "--n-hits", LARGE_N_HITS, "--seed", SEED, "--out", str(out / "hits_large.csv")])
+                 "--n-hits", LARGE_N_HITS, "--seed", SEED, "--out", str(large)])
     runs.append(["pattern", "--theta", repr(math.pi / 2), "--phi", "1.3", "--heatmap",
                  "--out", str(out / "pattern.csv")])
     runs.append(["sweep", "--thetas", f"0,{math.pi / 2!r},{math.pi!r}",
@@ -62,6 +65,7 @@ def _script():
                      "--out", str(hits.with_name("surface_" + hits.name))])
         runs.append(["discriminate", str(hits),
                      "--out", str(hits.with_name("discriminate_" + hits.name))])
+    runs.append(["discriminate", str(large), "--out", str(large.with_name("discriminate_" + large.name))])
     return runs
 
 
