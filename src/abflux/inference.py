@@ -286,17 +286,26 @@ class _LikelihoodContext:
                     np.multiply(s[p:p + k].reshape(m, k // m, 1), self.hit_c, out=fanned)
                     fanned += base[:m, None]
                     # the products of the kept factors follow the flagged densities
-                    size, groups = n - j, -(-(n - j) // _GROUP)
-                    while size > groups:
-                        half = -(-size // 2)
-                        vk[:, j:j + size - half] *= vk[:, j + half:j + size]
-                        size = half
-                    np.log(vk[:, :j + size], out=vk[:, :j + size])
-                    np.sum(vk[:, :j + size], axis=1, out=out[p:p + k])
+                    size = j + _group_products(vk[:, j:])
+                    np.log(vk[:, :size], out=vk[:, :size])
+                    np.sum(vk[:, :size], axis=1, out=out[p:p + k])
         out -= n * np.ravel(norm)
         out += self.hit_a[j:].sum()
         out[np.isnan(out)] = -np.inf
         return float(out[0]) if shape == () else out.reshape(shape)
+
+
+def _group_products(factors):
+    """Multiply the factors along the last axis, in place, into products of
+    at most _GROUP of them, and return how many leading entries hold the
+    products.  Each halving pass multiplies the back half onto the front."""
+    size = factors.shape[-1]
+    groups = -(-size // _GROUP)
+    while size > groups:
+        half = -(-size // 2)
+        factors[..., :size - half] *= factors[..., half:size]
+        size = half
+    return size
 
 
 def _aligned_rows(rows, n):
@@ -412,6 +421,43 @@ def _circle_roots(v0, v1, v2):
     return beta - half, beta + half
 
 
+def _circle_anchor(ctx, g1, g2):
+    """The anchor function of _fit_definite's branch and bound over the
+    slopes g1, g2 of ctx.slopes(): alpha -> (alpha, F, L), F the value at
+    the circle point and L its tangent plane (None with F = -inf where a
+    flagged hit's definite density is not positive).
+
+    Each call reuses two n-buffers.  v = (1 + tc g1) + ts g2 rounds as the
+    plain expression would; w = 1 / v gives the gradient's dot products,
+    and F takes one log per product of _GROUP kept factors, as the surface
+    kernel does, and one log per flagged factor."""
+    na, nb, nc = ctx.norm_a, ctx.norm_b, ctx.norm_c
+    kept = g1.size - ctx.flag_at.size
+    v, w = np.empty(g1.size), np.empty(g1.size)
+    flagged = v[kept:]
+
+    def anchor(alpha):
+        c, s = math.cos(alpha), math.sin(alpha)
+        t = 1.0 / (na + nb * c + nc * s)
+        np.multiply(g1, t * c, out=v)
+        np.add(v, 1.0, out=v)
+        np.multiply(g2, t * s, out=w)
+        np.add(v, w, out=v)
+        # a kept factor is at least t N_A _FLAG_RATIO; a flagged hit's
+        # definite density can vanish
+        if flagged.size and not flagged.min() > 0.0:
+            return alpha, -math.inf, None
+        np.divide(1.0, v, out=w)
+        k1, k2 = float(g1 @ w), float(g2 @ w)
+        size = _group_products(v[:kept])
+        value = float(np.log(v[:size], out=v[:size]).sum()
+                      + np.log(flagged, out=flagged).sum())
+        shift = value - t * (k1 * c + k2 * s)
+        return alpha, value, (shift * na, shift * nb + k1, shift * nc + k2)
+
+    return anchor
+
+
 def _fit_definite(ctx, g1, g2):
     """Best definite-flux model: the log-likelihood maximum on the boundary
     circle (c, s) = (cos alpha, sin alpha), to within _GAP_NATS.
@@ -425,19 +471,21 @@ def _fit_definite(ctx, g1, g2):
     or where the tangents cross, (L_lo - L_hi) . w = 0.  The arc of largest
     bound is halved until no bound beats the best anchor by more than the
     gap, or float spacing leaves no midpoint.
+
+    An anchor's factors are 1 + y . g_i = t N_A (A_i + B_i c + C_i s) / A_i
+    with t = 1 / N . w.  A kept hit's lies in [t N_A _FLAG_RATIO, 2 t N_A],
+    and t N_A >= 1/2 since N . w <= 2 N_A, so a kept factor is positive and
+    only the flagged ones need a sign check.  A product of _GROUP kept
+    factors lies in [(t N_A _FLAG_RATIO)^32, (2 t N_A)^32], at least 2e-170:
+    it cannot underflow, and it could overflow only past t N_A = 2^31,
+    where the window holds under 2^-31 of N_A at that angle.  A definite
+    density vanishes only at isolated points, so such a window lies within
+    about 1e-5 fringe spacings of one, where no hit is kept (on the default
+    geometry none is within 3e-3 spacings of x = 0); on the default window
+    t N_A stays within 1e-6 of 1.
     """
     na, nb, nc = ctx.norm_a, ctx.norm_b, ctx.norm_c
-
-    def anchor(alpha):
-        c, s = math.cos(alpha), math.sin(alpha)
-        t = 1.0 / (na + nb * c + nc * s)
-        v = 1.0 + (t * c) * g1 + (t * s) * g2
-        if not v.min() > 0.0:   # a hit where this definite density vanishes
-            return alpha, -math.inf, None
-        value, inv = float(np.log(v).sum()), 1.0 / v
-        k1, k2 = float(g1 @ inv), float(g2 @ inv)
-        shift = value - t * (k1 * c + k2 * s)
-        return alpha, value, (shift * na, shift * nb + k1, shift * nc + k2)
+    anchor = _circle_anchor(ctx, g1, g2)
 
     def push(lo, hi, spare):
         # every tangent plane bounds F everywhere, so an end with no tangent

@@ -35,7 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, _checked_array, _checked_count, _checked_real, _checked_window
-from .slits import ApertureGeometry, _validate_positions, slit_amplitude_pair
+from .slits import ApertureGeometry, _edge_differences, _validate_positions, geometry_constants
+# not called here since the components skip the amplitudes' phase; the traced
+# benchmark (perfbench/spans.py) still wraps this name in this module
+from .slits import slit_amplitude_pair  # noqa: F401
 
 # gaussian-unit constants used only by flux_parameter
 HBAR_CGS = 1.054571817e-27       # erg s
@@ -140,25 +143,35 @@ def pattern_components(geometry: ApertureGeometry, x):
     Every density in this module is A + B c + C s at the flux's disk point
     (c, s) of :func:`disk_point`.
 
-    Positions go through the slit amplitudes and A, B, C in blocks of
+    psi+- is a common complex prefactor times an edge difference d+-, and
+    the prefactor's phase exp(i pi x^2 / (lambda (L+l))) cancels in each
+    component.  So they are formed from d+- and the prefactor's squared
+    modulus kappa = N^2 / M alone: A = kappa (|d+|^2 + |d-|^2) and
+    d+* d- carries B and C.  No density ever computes that phase.
+    Since d+- swap exactly under x -> -x, A and B are exactly even and C
+    is exactly odd.
+
+    Positions go through the edge differences and A, B, C in blocks of
     ``_POSITION_BLOCK``, each written into one preallocated (3, n) array
     whose rows are returned.  Beyond that output, memory stays at one
     block's temporaries whatever the number of positions, and each value
     depends only on its own position.
     """
     x = _validate_positions(x)
+    consts = geometry_constants(geometry)
+    kappa = consts.amplitude_scale * consts.amplitude_scale / consts.normalization
     out = np.empty((3, x.size))
     for start in range(0, x.size, _POSITION_BLOCK):
         block = slice(start, start + _POSITION_BLOCK)
-        psi_plus, psi_minus = slit_amplitude_pair(geometry, x[block])
+        d_plus, d_minus = _edge_differences(geometry, consts, x[block])
         # Spelled out in real arithmetic rather than complex products: numpy's
         # complex multiply may contract to FMA, which breaks the exact mirror
         # symmetry (A, B even and C odd under x -> -x) at the last bit.
-        re_p, im_p = psi_plus.real, psi_plus.imag
-        re_m, im_m = psi_minus.real, psi_minus.imag
-        out[0, block] = (re_p * re_p + im_p * im_p) + (re_m * re_m + im_m * im_m)
-        out[1, block] = 2.0 * (re_p * re_m + im_p * im_m)
-        out[2, block] = -2.0 * (re_p * im_m - im_p * re_m)
+        re_p, im_p = d_plus.real, d_plus.imag
+        re_m, im_m = d_minus.real, d_minus.imag
+        out[0, block] = kappa * ((re_p * re_p + im_p * im_p) + (re_m * re_m + im_m * im_m))
+        out[1, block] = (2.0 * kappa) * (re_p * re_m + im_p * im_m)
+        out[2, block] = (-2.0 * kappa) * (re_p * im_m - im_p * re_m)
     return out[0], out[1], out[2]
 
 

@@ -28,6 +28,7 @@ _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SPLITMIX_MULT1 = np.uint64(0xBF58476D1CE4E5B9)
 _SPLITMIX_MULT2 = np.uint64(0x94D049BB133111EB)
 _TWO_POW_53 = float(1 << 53)
+_PPF_BLOCK = 4096   # variates per block of GriddedDistribution.ppf
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,72 @@ class GriddedDistribution:
         return np.interp(x, self.positions, self.cdf, left=0.0, right=1.0)
 
     def ppf(self, u):
-        """Inverse CDF (piecewise-linear interpolation between nodes)."""
-        return np.interp(u, self.cdf, self.positions)
+        """Inverse CDF (piecewise-linear interpolation between nodes):
+        np.interp(u, cdf, positions), bit for bit, for a table of at least
+        two nodes.
+
+        A variate's cell starts from a guide table (Chen & Asau, AIIE
+        Trans. 6, 1974): u falls in bucket floor(u K) of K = cdf.size
+        buckets, and the bucket's entry counts the nodes of lower buckets,
+        all of which lie below u.  One forward step finds the count k of
+        nodes at or below u for most variates; the rest, where the density
+        is low and many nodes share a bucket (about 6% of variates at
+        theta = phi = pi/2 on 8192 nodes), take a binary search.  The value
+        is then formed as np.interp forms it: positions[k - 1] where u
+        equals cdf[k - 1] or lies outside the table, slope (u - cdf[k - 1])
+        + positions[k - 1] inside a cell, and np.interp's fallbacks where
+        that is nan.  Variates go in blocks of _PPF_BLOCK, so no temporary
+        grows with their number.
+        """
+        cdf, x = self.cdf, self.positions
+        u = np.asarray(u, dtype=float)
+        flat, out = u.ravel(), np.empty(u.size)
+        last, buckets = cdf.size - 1, cdf.size
+        # like np.interp, no floating-point warnings: flat cdf runs divide
+        # by zero, and values formed where a node's position is taken are
+        # discarded
+        with np.errstate(all="ignore"):
+            slopes = np.diff(x) / np.diff(cdf)
+            # after[k] is the cdf of the node after the first k; nan past the
+            # last compares false
+            after = np.append(cdf, np.nan)
+            # floor(u K) is non-decreasing in u, so every node of a lower bucket
+            # than u's lies below u: a bucket's entry counts those nodes
+            guide = np.searchsorted(_buckets(cdf, buckets), np.arange(buckets))
+            for start in range(0, flat.size, _PPF_BLOCK):
+                uk, res = flat[start:start + _PPF_BLOCK], out[start:start + _PPF_BLOCK]
+                k = guide[_buckets(uk, buckets)]
+                k += after[k] <= uk
+                far = np.flatnonzero(after[k] <= uk)
+                if far.size:
+                    k[far] = np.searchsorted(cdf, uk[far], side="right")
+                cell = np.clip(k - 1, 0, last - 1)
+                lo = cdf[cell]
+                np.subtract(uk, lo, out=res)
+                res *= slopes[cell]
+                res += x[cell]
+                exact = (k == 0) | (k > last) | (lo == uk)
+                odd = np.flatnonzero(np.isnan(res) & ~exact)
+                if odd.size:
+                    # np.interp's fallbacks: from the cell's upper end, then its
+                    # lower position if both ends share it
+                    cell = cell[odd]
+                    res[odd] = slopes[cell] * (uk[odd] - cdf[cell + 1]) + x[cell + 1]
+                    same = np.isnan(res[odd]) & (x[cell] == x[cell + 1])
+                    res[odd[same]] = x[cell[same]]
+                # a nan variate stays at k = 0 and comes out as itself
+                at = np.flatnonzero(exact)
+                res[at] = np.where(np.isnan(uk[at]), uk[at], x[np.maximum(k[at] - 1, 0)])
+        return out.reshape(u.shape)[()]
+
+
+def _buckets(values, buckets):
+    """The guide-table bucket floor(values * buckets) of each value, clipped
+    to [0, buckets - 1]; nan goes to bucket 0."""
+    scaled = values * float(buckets)
+    np.fmax(scaled, 0.0, out=scaled)
+    np.fmin(scaled, buckets - 1.0, out=scaled)
+    return scaled.astype(np.intp)
 
 
 def _distribution_from_values(positions, values):

@@ -16,7 +16,9 @@ with r = l/(L+l), E the complex Fresnel integral, and
     M = 4 b / (lambda l)                  normalization factor
 
 All lengths are SI meters.  The common quadratic phase factor cancels in
-every density but is kept, so the amplitude is the literal expression above.
+every density.  slit_amplitude_pair keeps it, so the amplitude is the
+literal expression above; the densities' components are formed from the
+bracketed differences and |prefactor|^2 = N^2 / M alone.
 """
 
 from __future__ import annotations
@@ -120,21 +122,10 @@ def _validate_positions(x):
     return np.atleast_1d(_checked_array("screen positions", x, (0, 1)))
 
 
-def slit_amplitude_pair(geometry: ApertureGeometry, x):
-    """Both slit amplitudes (psi_plus, psi_minus) at screen positions x.
-
-    Parameters
-    ----------
-    geometry : ApertureGeometry
-    x : array_like of float
-        Screen positions, m.
-
-    Returns
-    -------
-    (numpy.ndarray, numpy.ndarray) of complex
-    """
-    x = _validate_positions(x)
-    consts = geometry_constants(geometry)
+def _edge_differences(geometry: ApertureGeometry, consts: GeometryConstants, x):
+    """The bracketed Fresnel differences (d_plus, d_minus) at validated
+    positions x, so that psi+- = prefactor(x) * d+-.  Under x -> -x they
+    swap exactly: the projected position only changes sign."""
     l = geometry.source_to_slit
     big_l = geometry.slit_to_screen
     projected = (l / (l + big_l)) * x
@@ -148,14 +139,38 @@ def slit_amplitude_pair(geometry: ApertureGeometry, x):
         beta * (inner + projected),
     ])
     ei = _fresnel_ei_array(args).reshape(4, x.size)
-    phase = np.exp(1j * np.pi * x * x / (geometry.wavelength * (big_l + l)))
-    prefactor = (-1j * consts.amplitude_scale / np.sqrt(consts.normalization)) * phase
+    return ei[0] - ei[1], ei[2] - ei[3]
+
+
+def slit_amplitude_pair(geometry: ApertureGeometry, x):
+    """Both slit amplitudes (psi_plus, psi_minus) at screen positions x.
+
+    Each is the prefactor (-i N / sqrt(M)) exp(i pi x^2 / (lambda (L+l)))
+    times its edge difference, the literal expression of the module
+    docstring.  The densities never need the prefactor's phase:
+    ``pattern.pattern_components`` takes the same edge differences and
+    only the prefactor's squared modulus N^2 / M.
+
+    Parameters
+    ----------
+    geometry : ApertureGeometry
+    x : array_like of float
+        Screen positions, m.
+
+    Returns
+    -------
+    (numpy.ndarray, numpy.ndarray) of complex
+    """
+    x = _validate_positions(x)
+    consts = geometry_constants(geometry)
     # Named, the differences are not temporaries numpy could multiply in
     # place as `difference *= prefactor`, which swaps the operands of a
     # complex multiply that is not bitwise commutative; so each amplitude
     # is the same whatever the batch size.
-    plus_edges = ei[0] - ei[1]
-    minus_edges = ei[2] - ei[3]
+    plus_edges, minus_edges = _edge_differences(geometry, consts, x)
+    l, big_l = geometry.source_to_slit, geometry.slit_to_screen
+    phase = np.exp(1j * np.pi * x * x / (geometry.wavelength * (big_l + l)))
+    prefactor = (-1j * consts.amplitude_scale / np.sqrt(consts.normalization)) * phase
     return prefactor * plus_edges, prefactor * minus_edges
 
 

@@ -730,3 +730,60 @@ def test_circle_angles_at_the_seam():
     # alpha = -pi is the circle point alpha = pi: up, at phi = pi
     assert inference._circle_angles(-math.pi) == (math.pi, 0.0, math.pi)
     assert inference._circle_angles(-0.5) == (-0.5, math.pi, 0.5)
+
+
+def _plain_anchor(ctx, g1, g2, alpha):
+    """The circle anchor written out with one log per hit, summed exactly,
+    and its tangent plane as a function of the value it is taken at; None
+    where a factor is not positive."""
+    na, nb, nc = ctx.norm_a, ctx.norm_b, ctx.norm_c
+    c, s = math.cos(alpha), math.sin(alpha)
+    t = 1.0 / (na + nb * c + nc * s)
+    v = 1.0 + (t * c) * g1 + (t * s) * g2
+    if not v.min() > 0.0:
+        return None
+    inv = 1.0 / v
+    k1, k2 = float(g1 @ inv), float(g2 @ inv)
+
+    def plane(value):
+        shift = value - t * (k1 * c + k2 * s)
+        return (shift * na, shift * nb + k1, shift * nc + k2)
+
+    return math.fsum(np.log(v).tolist()), plane
+
+
+def test_circle_anchor_takes_grouped_logs(jonsson):
+    # the fringe-zero set of the test above, whose x = 0 hit vanishes at
+    # alpha = pi, and a superposed set with flagged hits a few 1e-13 m from
+    # x = 0; the tangent's dot products take the same 1 / v bit for bit
+    window = (-2.0e-5, 2.5e-5)
+    fringe = sample_hits(jonsson, FluxState(0.0, np.pi),
+                         SampleConfig(n_hits=500, seed=1, window=window)).positions
+    fringe[0] = 0.0
+    superposed = make_hits(jonsson, np.pi / 2, np.pi / 2, 3000, 5).positions
+    superposed[-4:] = (-3.0e-13, 2.3e-12, 5.0e-11, 0.0)
+    alphas = np.linspace(-np.pi, np.pi, 129).tolist()
+    for hits, win in ((fringe, window), (superposed, DEFAULT_WINDOW)):
+        ctx = _LikelihoodContext(hits, jonsson, win)
+        assert 0 < ctx.flag_at.size < ctx.n
+        g1, g2 = ctx.slopes()
+        anchor = inference._circle_anchor(ctx, g1, g2)
+        finite = 0
+        for alpha in alphas:
+            plain = _plain_anchor(ctx, g1, g2, alpha)
+            got_alpha, value, plane = anchor(alpha)
+            assert got_alpha == alpha
+            if plain is None:
+                assert value == -math.inf and plane is None
+                continue
+            finite += 1
+            expected, plane_at = plain
+            assert abs(value - expected) <= 1e-12 * abs(expected)
+            assert plane == plane_at(value)
+        assert finite >= 64
+    # a flagged factor of exactly 0, then a negative one, at alpha = 0
+    for b in (-1.0, -1.5):
+        ctx = _LikelihoodContext.from_components(
+            (1.0, 0.0, 0.0), np.ones(3), np.array([0.5, -0.25, b]), np.zeros(3))
+        assert ctx.flag_at.tolist() == [2]
+        assert inference._circle_anchor(ctx, *ctx.slopes())(0.0) == (0.0, -math.inf, None)

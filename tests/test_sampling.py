@@ -13,7 +13,7 @@ from abflux import (
     sample_hits,
     uniform_variates,
 )
-from abflux.sampling import _distribution_from_values
+from abflux.sampling import GriddedDistribution, _distribution_from_values
 
 _MASK = (1 << 64) - 1
 
@@ -161,3 +161,41 @@ def test_hit_set_validation(jonsson):
         HitSet(
             positions=np.array([0.0, 1.0]), config=cfg, flux=flux, geometry=jonsson
         )
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def test_ppf_equals_interp_bit_for_bit(jonsson):
+    # a peaked table on K = 2**13 nodes and on an odd K, tables with flat
+    # cdf runs (zero density at both window ends and over consecutive
+    # inner nodes), and a 2-node grid
+    x = np.linspace(-1.0, 1.0, 40)
+    gaps = np.where((np.abs(x) > 0.8) | ((x > 0.1) & (x < 0.3)), 0.0, 1.0 + x * x)
+    tables = [normalized_pdf_cdf(jonsson, FluxState(np.pi / 2, np.pi / 2), (-2e-5, 2e-5), 8192),
+              normalized_pdf_cdf(jonsson, FluxState(0.0, np.pi), (-2e-5, 2.5e-5), 1001),
+              _distribution_from_values(x, gaps),
+              _distribution_from_values(np.array([0.0, 1.0]), np.array([0.0, 1.0]))]
+    assert np.sum(np.diff(tables[2].cdf) == 0.0) == 9
+    for dist in tables:
+        cdf = dist.cdf
+        u = np.concatenate([[0.0, 1.0 - 2.0**-53, -0.0, -1e-300, 1.0, 2.0, np.inf, -np.inf,
+                             np.nan],
+                            cdf, np.nextafter(cdf, -1.0), np.nextafter(cdf, 2.0),
+                            uniform_variates(7, 0, 100_000)])
+        expected = np.interp(u, cdf, dist.positions)
+        assert np.array_equal(_bits(dist.ppf(u)), _bits(expected))
+        assert np.array_equal(_bits(dist.ppf(u[:99].reshape(9, 11))),
+                              _bits(expected[:99]).reshape(9, 11))
+        assert _bits(dist.ppf(0.25)) == _bits(np.interp(0.25, cdf, dist.positions))
+
+
+def test_ppf_takes_interp_fallbacks_where_a_cell_gives_nan():
+    # an infinite position gives nan from the lower end of its cell, then
+    # -inf from the upper end; a cell of two infinite ends keeps its position
+    for positions in ([-np.inf, 0.0, 1.0], [np.inf, np.inf, np.inf], [0.0, np.inf, np.inf]):
+        dist = GriddedDistribution(np.array(positions), np.ones(3), np.array([0.0, 0.5, 1.0]))
+        u = np.array([0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0), 1.0, np.nan])
+        expected = np.interp(u, dist.cdf, dist.positions)
+        assert np.array_equal(_bits(dist.ppf(u)), _bits(expected))
