@@ -21,11 +21,11 @@ import numpy as np
 # A positive double a = m * 2**q (2**52 <= m < 2**53) is scaled by 10**k,
 # k = 16 - e, where e = floor((q + 52) log10 2) depends on the binary
 # exponent alone, so that y = a * 10**k lies in [1e16, 2e17).  y is formed
-# as a double-double: the exact (Dekker) product of a and the nearest double
-# to 10**k, both split into 26-bit halves since numpy has no FMA, plus a
-# times the rest of 10**k.  Its error is below 1e-13.  The decimals that
-# read back as a are those in y +- h, h = half an ulp of a scaled alike,
-# which is 0.55 to 22 units of y.  repr's digits are the multiple of the
+# as a double-double by _times_power: the exact (Dekker) product of a and
+# the nearest double to 10**k, both split into 26-bit halves since numpy has
+# no FMA, plus a times the rest of 10**k.  Its error is below 1e-13.  The
+# decimals that read back as a are those in y +- h, h = half an ulp of a
+# scaled alike, which is 0.55 to 22 units of y.  repr's digits are the multiple of the
 # largest power 10**K that this interval holds, and of those the one
 # nearest y.  The interval ends and the rounding are decided on the
 # fraction of y, and a value whose fraction falls within _SLACK (far above
@@ -83,6 +83,31 @@ def _exponent_tables():
     return fast, e, head, tail, low, np.ldexp(head + tail, b - 1076)
 
 
+def _times_power(a, head, tail, low):
+    """a * (head + tail + low), a power of ten from _powers_of_ten, as the
+    double-double product + lo: Dekker's exact product of a and head + tail
+    (the power's 26-bit halves), with a split alike since numpy has no FMA,
+    plus a * low.
+
+    shortest_digits and _nearest both form their products here, so the
+    writer and the reader scale a value alike, bit for bit.
+    """
+    product = a * (head + tail)
+    part = _round26(a)
+    lo = part * head
+    lo -= product
+    term = part * tail
+    lo += term
+    np.subtract(a, part, out=part)
+    np.multiply(part, head, out=term)
+    lo += term
+    np.multiply(part, tail, out=term)
+    lo += term
+    np.multiply(a, low, out=term)
+    lo += term
+    return product, lo
+
+
 def shortest_digits(a):
     """repr's digits of each positive float in ``a``.
 
@@ -98,22 +123,7 @@ def shortest_digits(a):
     if not good.all():
         a = np.where(good, a, 1.5)
         b[~good] = 1023
-    # y = product + lo: Dekker's exact product of a and head + tail, plus a * low
-    head = head_b[b]
-    tail = tail_b[b]
-    product = a * (head + tail)
-    part = _round26(a)
-    lo = part * head
-    lo -= product
-    part *= tail
-    lo += part
-    np.subtract(a, _round26(a), out=part)
-    head *= part
-    lo += head
-    tail *= part
-    lo += tail
-    del head, tail, part
-    lo += a * low_b[b]
+    product, lo = _times_power(a, head_b[b], tail_b[b], low_b[b])    # y = product + lo
     floor = np.floor(lo)
     frac = lo
     frac -= floor
@@ -301,14 +311,16 @@ def int_chars(values):
 # 16 after it, or, with more than one digit before the point, up to 16 on
 # each side of it.  Where w < 2**53 and |q| <= 22, w and 10**|q| are exact
 # doubles, and one multiplication or division rounds w * 10**q (Clinger's
-# fast path).  Elsewhere w * 10**q is formed as a double-double, as
-# shortest_digits forms y: Dekker's exact product of w and head + tail of
-# 10**q, plus w times low, with an error below 1e-15 ulp.  One rounding of
-# that sum gives the double, which stands where the sum lies farther than
-# _SLACK ulp from a tie.  From 10**-291, the least power in the tables, on,
-# every part of the double-double is a normal double.  Other texts take
-# ``float``: inf, nan, underscores, spaces, more than 16 digits on one side
-# of the point, and powers of ten below 10**-291 or past the largest double.
+# fast path).  Elsewhere w * 10**q is formed as a double-double by
+# _times_power, which also forms shortest_digits' y: Dekker's exact product
+# of a, the double nearest w, and head + tail of 10**q, plus a times low;
+# _nearest adds (w - a) times 10**q.  Its error is below 1e-15 ulp.  One
+# rounding of that sum gives the double, which stands where the sum lies
+# farther than _SLACK ulp from a tie.  From 10**-291, the least power in the
+# tables, on, every part of the double-double is a normal double.  Other
+# texts take ``float``: inf, nan, underscores, spaces, more than 16 digits
+# on one side of the point, and powers of ten below 10**-291 or past the
+# largest double.
 PAD = 24                # zero bytes before the first text (see padded)
 
 
@@ -367,27 +379,12 @@ def _nearest(w, q):
     np.clip(k, 0, _POWER_MAX - _POWER_MIN, out=k)
     head = head_k[k]
     tail = tail_k[k]
-    near = head + tail
     a = w.astype(np.float64)
-    # product + lo: Dekker's exact product of a and head + tail, plus a
-    # times low and the part of w that a lacks times 10**q
-    product = a * near
-    part = _round26(a)
-    lo = part * head
-    lo -= product
-    term = part * tail
-    lo += term
-    np.subtract(a, part, out=part)
-    np.multiply(part, head, out=term)
-    lo += term
-    np.multiply(part, tail, out=term)
-    lo += term
-    np.multiply(a, low_k[k], out=term)
-    lo += term
+    product, lo = _times_power(a, head, tail, low_k[k])
+    # plus the part of w that a lacks times 10**q
     np.subtract(w.view(np.int64), a.astype(np.int64), out=k)
-    np.multiply(k, near, out=term)
-    lo += term
-    del head, tail, near, part, term
+    lo += k * (head + tail)
+    del head, tail
     value = product + lo
     product -= value
     lo += product                   # the double-double lies at value + lo

@@ -15,28 +15,30 @@ model's settings in provenance order (geometry, flux, window, sampling),
 :func:`model_comments` formats them, and the ``*_from_values`` functions
 build the model objects from a run's settings or a hits file's provenance.
 
-The array writers build their data rows _BLOCK_ROWS rows at a time, and
-numpy computes the ``repr`` text of a whole block of floats at once
+The array writers (hits, pattern, panel, surface) build their data rows
+in one loop, _BLOCK_ROWS rows at a time, and numpy computes the ``repr``
+text of a whole block of floats at once
 (:func:`abflux._floattext.float_chars`) as a NUL-padded character matrix,
 one row per value.  A block's rows are the column matrices side by side
 with the commas and newlines between them; one ``translate`` drops the
-NULs.  The text is
-``repr``'s byte for byte: a value whose digits the vectorised search cannot
-certify takes ``repr`` itself.  Blocks are cut by row count, across panel
+NULs.  The text is ``repr``'s byte for byte: a value whose digits the
+vectorised search cannot certify takes ``repr`` itself.  Blocks are cut by row count, across panel
 slices and surface rows.  The text of the leading float column (screen
 positions, or the surface's phi values) is kept as one character matrix,
 keyed by the column's bytes, so a sweep's files and a figure's panels on
 one screen grid format it once.
 
 The reader takes the comment and header lines as text (a leading UTF-8
-byte-order mark is skipped), then reads the data block as bytes, about
-_READ_BYTES of whole lines at a time.  numpy finds each block's commas and
-newlines and reads every field back as the double ``float`` gives, bit for
-bit (:func:`abflux._floattext.float_rows`); a field the vectorised reader
+byte-order mark is skipped), then reads the data block on one of two
+paths.  The vector path reads it as bytes, about _READ_BYTES of whole
+lines at a time: numpy finds each block's commas and newlines and reads
+every field back as the double ``float`` gives, bit for bit
+(:func:`abflux._floattext.float_rows`); a field the vectorised reader
 cannot certify, or whose text is not in the forms it knows, takes ``float``
-itself.  Line ends "\\r\\n" and "\\r" and blank lines read as text mode
-reads them.  Where a block does not parse, the data block is read again
-line by line, so that an error names its line.
+itself.  It takes the writer's own text and its copy with "\\r\\n" line
+ends.  Any other data block (blank lines, lone "\\r" line ends, a
+malformed row) is read again line by line, as text mode splits lines and
+``float`` reads fields, so that an error names its line.
 """
 
 from __future__ import annotations
@@ -159,27 +161,35 @@ def _column_chars(column: bytes):
     return chars
 
 
-def _rows_of(chars, index):
-    """Rows ``index`` of the character matrix ``chars``, each row taken as
-    one item."""
+def _repeated(chars, repeat=1):
+    """The column whose row r is row ``(r // repeat) % len(chars)`` of the
+    character matrix ``chars``."""
     width = chars.shape[1]
-    items = np.ascontiguousarray(chars).view(f"V{width}").ravel()
-    return np.take(items, index).view(np.uint8).reshape(-1, width)
+    items = np.ascontiguousarray(chars).view(f"V{width}").ravel()   # a row as one item
+
+    def column(index):
+        return np.take(items, index // repeat % len(items)).view(np.uint8).reshape(-1, width)
+
+    return column
 
 
-def _blocks(n_rows, columns, values):
+def _floats(values):
+    """The column whose row r is the text of the float ``values[r]``."""
+    values = np.asarray(values, dtype=float).ravel()
+    return lambda index: float_chars(values[index])
+
+
+def _blocks(n_rows, columns):
     """The text of ``n_rows`` data rows, _BLOCK_ROWS rows at a time.
 
-    Row r is, for each ``(chars, repeat)`` of ``columns``, the text of row
-    ``(r // repeat) % len(chars)`` of the character matrix ``chars``, then
-    the text of ``values[r]``.
+    Each of ``columns`` maps an array of row numbers to the character
+    matrix of its fields in those rows.
     """
-    values = np.asarray(values, dtype=float).ravel()
     for start in range(0, n_rows, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n_rows)
-        index = np.arange(start, stop)
-        fields = [_rows_of(chars, index // repeat % len(chars)) for chars, repeat in columns]
-        yield _join(fields + [float_chars(values[start:stop])])
+        index = np.arange(start, min(start + _BLOCK_ROWS, n_rows))
+        # joined in a call, so that the block's temporaries are freed
+        # before the yield, not held while its text is written
+        yield _join([column(index) for column in columns])
 
 
 def _check_comments(path, comments):
@@ -274,49 +284,41 @@ def read_csv(path):
 def _line_blocks(fh):
     """The rest of the binary file ``fh`` in blocks of whole lines, about
     _READ_BYTES at a time, each a character array in the layout of
-    :func:`abflux._floattext.padded`."""
+    :func:`abflux._floattext.padded`.
+
+    A block's "\\r\\n" line ends become newlines.  A block that holds any
+    other carriage return raises ValueError: text mode ends a line there.
+    """
     rest = b""
     while True:
         text = bytearray(PAD + len(rest) + _READ_BYTES)
         text[PAD:PAD + len(rest)] = rest
         size = PAD + len(rest) + fh.readinto(memoryview(text)[PAD + len(rest):])
         if size == PAD + len(rest):
-            if rest:
-                yield padded(_plain_lines(rest + b"\n"))
-            return
+            if not rest:
+                return
+            text[size] = ord("\n")     # the last line, which lacks its newline
+            size += 1
         cut = text.rfind(b"\n", PAD, size) + 1
         rest = bytes(text[max(cut, PAD):size])
         if text.find(b"\r", PAD, cut) >= 0:
-            yield padded(_plain_lines(bytes(text[PAD:cut])))
+            text = text[PAD:cut].replace(b"\r\n", b"\n")
+            if b"\r" in text:
+                raise ValueError("a line ends in a lone carriage return")
+            yield padded(text)
         elif cut:
             yield np.frombuffer(text, np.uint8, cut)
-
-
-def _plain_lines(text):
-    """``text``, whole lines, with every line end ("\\r\\n", "\\r" or
-    "\\n", as text mode reads them) a newline and no blank lines."""
-    text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    while b"\n\n" in text:
-        text = text.replace(b"\n\n", b"\n")
-    return text.removeprefix(b"\n")
-
-
-def _block_rows(chars, n_fields):
-    """:func:`abflux._floattext.float_rows` of a block of lines, which
-    may hold blank lines."""
-    try:
-        return float_rows(chars, n_fields)
-    except ValueError:
-        return float_rows(padded(_plain_lines(chars[PAD:].tobytes())), n_fields)
 
 
 def _read_rows(path, first_line, offset, n_fields):
     """The data block of :func:`read_csv` as a float matrix.
 
     The block runs from byte ``offset``, line ``first_line``, to the end of
-    the file.  :func:`abflux._floattext.float_rows` parses it a block of
-    lines at a time.  Where it refuses, the lines are read again one at a
-    time, as ``float`` reads them, so that an error names its line.
+    the file.  :func:`abflux._floattext.float_rows` parses the writer's own
+    text and its "\\r\\n" copy a block of lines at a time.  Everything
+    else (blank lines, lone carriage returns, a malformed row) is read
+    again one line at a time, as text mode splits lines and ``float`` reads
+    fields, so that an error names its line.
     """
     with open(path, "rb") as fh:
         fh.seek(offset)
@@ -332,9 +334,7 @@ def _read_rows(path, first_line, offset, n_fields):
         rows = 0
         try:
             for chars in _line_blocks(fh):
-                block = _block_rows(chars, n_fields)
-                if rows + len(block) > len(data):   # lone carriage returns end lines too
-                    data = np.concatenate([data[:rows], np.empty((rows + 2 * len(block), n_fields))])
+                block = float_rows(chars, n_fields)
                 data[rows:rows + len(block)] = block
                 rows += len(block)
             return data[:rows]
@@ -357,22 +357,15 @@ def _read_rows(path, first_line, offset, n_fields):
                 rows.append([float(p) for p in parts])
             except ValueError as exc:
                 raise DomainError(f"{path}:{line_no}: {exc}") from None
-    return np.array(rows, dtype=float)
+    return np.array(rows, dtype=float).reshape(-1, n_fields)
 
 
 def write_hits_csv(path, hits: HitSet):
     """The hits as ``index,x_m`` rows, formatted _BLOCK_ROWS rows at a time."""
-    positions = hits.positions
-
-    def blocks():
-        for start in range(0, positions.size, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, positions.size)
-            yield _join([int_chars(np.arange(start, stop)),
-                         float_chars(positions[start:stop])])
-
     comments = model_comments(model_values(hits.geometry, hits.config.window,
                                            hits.flux, hits.config))
-    _write_table(path, comments, HITS_HEADER, blocks())
+    _write_table(path, comments, HITS_HEADER,
+                 _blocks(hits.positions.size, [int_chars, _floats(hits.positions)]))
 
 
 def _comment_value(comments, key, path, kind):
@@ -424,8 +417,8 @@ def write_pattern_csv(path, grid, window, comments_extra=()):
     recording the (x_min, x_max) window the grid spans."""
     comments = list(comments_extra) + model_comments(
         {**model_values(grid.geometry, window, grid.flux), "screen_points": grid.positions.size})
-    _write_table(path, comments, "x_m,density", _blocks(
-        grid.positions.size, [(_column_chars(grid.positions.tobytes()), 1)], grid.values))
+    columns = [_repeated(_column_chars(grid.positions.tobytes())), _floats(grid.values)]
+    _write_table(path, comments, "x_m,density", _blocks(grid.positions.size, columns))
 
 
 def write_panel_csv(path, x, param_name, param_values, matrix, comments):
@@ -443,9 +436,9 @@ def write_panel_csv(path, x, param_name, param_values, matrix, comments):
             f"{param_values.size} parameter values x {x.size} positions"
         )
 
-    columns = [(_column_chars(x.tobytes()), 1), (float_chars(param_values), x.size)]
-    _write_table(path, comments, f"x_m,{param_name},density",
-                 _blocks(matrix.size, columns, matrix))
+    columns = [_repeated(_column_chars(x.tobytes())),
+               _repeated(float_chars(param_values), x.size), _floats(matrix)]
+    _write_table(path, comments, f"x_m,{param_name},density", _blocks(matrix.size, columns))
 
 
 def write_surface_csv(path, surface, comments_extra=()):
@@ -469,8 +462,9 @@ def write_surface_csv(path, surface, comments_extra=()):
             f"{path}: surface loglik shape {loglik.shape} does not match "
             f"{thetas.size} theta points x {phis.size} phi points"
         )
-    columns = [(float_chars(thetas), phis.size), (_column_chars(phis.tobytes()), 1)]
-    _write_table(path, comments, "theta,phi,loglik", _blocks(loglik.size, columns, loglik))
+    columns = [_repeated(float_chars(thetas), phis.size),
+               _repeated(_column_chars(phis.tobytes())), _floats(loglik)]
+    _write_table(path, comments, "theta,phi,loglik", _blocks(loglik.size, columns))
 
 
 def write_hypothesis_csv(path, result, comments_extra=()):

@@ -633,6 +633,31 @@ def test_read_csv_error_in_a_later_block_names_its_line(tmp_path, small_hits, mo
         read_hits_csv(path)
 
 
+# copies of a hits file with other line ends: "\r\n" takes the vector path
+# in every block, the rest (blank lines, lone carriage returns) the line reader
+@pytest.mark.parametrize("newline, vector", [
+    (b"\r\n", True), (b"\n\n", False), (b"\r\n\r\n", False), (b"\r", False),
+])
+def test_hits_reader_reads_line_end_copies_across_blocks(
+        tmp_path, jonsson, monkeypatch, newline, vector):
+    hits = sample_hits(jonsson, FluxState(0.4, 1.2), SampleConfig(n_hits=3000, seed=11))
+    path = tmp_path / "hits.csv"
+    write_hits_csv(path, hits)
+    path.write_bytes(path.read_bytes().replace(b"\n", newline))
+    parsed = []
+
+    def spy(chars, n_fields):
+        parsed.append(False)
+        rows = float_rows(chars, n_fields)
+        parsed[-1] = True
+        return rows
+
+    monkeypatch.setattr(abflux.io, "_READ_BYTES", 300)
+    monkeypatch.setattr(abflux.io, "float_rows", spy)
+    _assert_bits_equal(read_hits_csv(path).positions, hits.positions)
+    assert (len(parsed) > 100 and all(parsed)) == vector
+
+
 def test_read_csv_skips_a_byte_order_mark(tmp_path, small_hits):
     path = tmp_path / "table.csv"
     path.write_bytes(codecs.BOM_UTF8 + b"# a=1\n# b=2\nx,y\n1,2\n")
