@@ -3,12 +3,13 @@
 The screen density is A(x) + B(x) c + C(x) s with geometry-only components
 A, B, C and the flux's point (c, s) of the unit disk (pattern.disk_point),
 so a likelihood evaluation needs the components once per hit set and
-takes disk points.  A hit's term is then log A plus log(1 + c B/A + s C/A),
-and the factors of a group of hits share one log through their product;
-hits where the density can come close to zero keep the term
-log(A + B c + C s) as it stands.  The part 1 + c B/A (or A + B c) depends
-on c alone, so points that share c, such as a phi column of the surface,
-share it too: c may be passed once per column.  Normalization over the
+takes disk points.  A hit's density is C (q + s) with q = (A + B c) / C,
+so its term is log|C| plus log|q + s|, and the factors q + s of a group of
+hits share one log through their product; hits where the density can come
+close to zero, or where C is near 0, keep the term log(A + B c + C s) as
+it stands.  q (or A + B c) depends on c alone, so points that share c,
+such as a phi column of the surface, share it too: c may be passed once
+per column, and a cell then costs one add, q + s.  Normalization over the
 window is exact in the same decomposition: the trapezoid integral of the
 density is the same combination of the component integrals.
 
@@ -59,6 +60,8 @@ _CELL_BLOCK = 1 << 16       # hits-by-points elements per loglik block
 _FLAG_RATIO = 1e-5          # a hit whose density can fall below this share
                             # of A keeps its raw log-density term
 _GROUP = 32                 # hits whose factors share one log
+_Q_RATIO = 2.0 ** -30       # a kept hit with |C| below this share of A
+                            # keeps its raw log-density term
 
 
 def canonical_angles(theta, phi):
@@ -174,10 +177,14 @@ class _LikelihoodContext:
 
     A hit whose smallest density over the disk, A - hypot(B, C), is at least
     _FLAG_RATIO * A is kept; the others are flagged, and flag_at holds their
-    indices.  The per-hit arrays hit_a, hit_b, hit_c hold the flagged hits
-    first, in reverse hit order, as their raw A, B and C, and then the kept
-    hits in hit order as log A, B / A and C / A.  So the first n hits are
-    always one run of columns, and a prefix is a view.
+    indices.  A kept hit with |C| >= _Q_RATIO * A takes the q-form: its
+    density is C (q + s) with q = (A + B c) / C.  The flagged hits and the
+    kept hits of smaller |C|, C = 0 among them, take the raw form
+    A + B c + C s, and raw_at holds their indices.  The per-hit arrays hit_a,
+    hit_b, hit_c hold the raw hits first, in reverse hit order, as their A,
+    B and C, and then the q-form hits in hit order as A / C, B / C and
+    log|C|.  Either way a fan's base is hit_a + c hit_b.  So the first n
+    hits are always one run of columns, and a prefix is a view.
     """
 
     def __init__(self, positions, geometry, window, grid_points=DEFAULT_GRID_POINTS):
@@ -200,16 +207,20 @@ class _LikelihoodContext:
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.hypot(b, c)
             ratio /= a
-        keep = ratio <= 1.0 - _FLAG_RATIO   # false for A = 0
+            q_form = ratio <= 1.0 - _FLAG_RATIO     # kept; false for A = 0
+            self.flag_at = np.flatnonzero(~q_form)
+            np.divide(c, a, out=ratio)
+            q_form &= np.abs(ratio, out=ratio) >= _Q_RATIO
         del ratio   # freed before the copies below
-        self.flag_at = np.flatnonzero(~keep)
-        j = self.flag_at.size
+        self.raw_at = np.flatnonzero(~q_form)
+        j = self.raw_at.size
         if j:
             for x in (a, b, c):
-                x[j:], x[:j] = x[keep], x[self.flag_at[::-1]]
-        np.divide(b[j:], a[j:], out=b[j:])
-        np.divide(c[j:], a[j:], out=c[j:])
-        np.log(a[j:], out=a[j:])
+                x[j:], x[:j] = x[q_form], x[self.raw_at[::-1]]
+        np.divide(a[j:], c[j:], out=a[j:])
+        np.divide(b[j:], c[j:], out=b[j:])
+        np.abs(c[j:], out=c[j:])
+        np.log(c[j:], out=c[j:])
         self.hit_a, self.hit_b, self.hit_c = a, b, c
 
     def prefix(self, n):
@@ -218,18 +229,21 @@ class _LikelihoodContext:
         sub = object.__new__(_LikelihoodContext)
         sub.norm_a, sub.norm_b, sub.norm_c = self.norm_a, self.norm_b, self.norm_c
         sub.n = n
-        j = int(np.searchsorted(self.flag_at, n))
-        sub.flag_at = self.flag_at[:j]
-        cols = slice(self.flag_at.size - j, self.flag_at.size - j + n)
+        sub.flag_at = self.flag_at[:np.searchsorted(self.flag_at, n)]
+        j = int(np.searchsorted(self.raw_at, n))
+        sub.raw_at = self.raw_at[:j]
+        cols = slice(self.raw_at.size - j, self.raw_at.size - j + n)
         sub.hit_a, sub.hit_b, sub.hit_c = self.hit_a[cols], self.hit_b[cols], self.hit_c[cols]
         return sub
 
     def slopes(self):
-        """Per-hit g_i = N_A (B_i, C_i) / A_i - (N_B, N_C): the kept hits,
-        then the flagged ones, each in hit order."""
-        j = self.flag_at.size
-        g1, g2 = (np.concatenate((x[j:], x[:j][::-1] / self.hit_a[:j][::-1]))
-                  for x in (self.hit_b, self.hit_c))
+        """Per-hit g_i = N_A (B_i, C_i) / A_i - (N_B, N_C): the q-form hits,
+        then the raw ones, each in hit order."""
+        j = self.raw_at.size
+        a, b, c = self.hit_a, self.hit_b, self.hit_c
+        # a q-form hit's B / A is (B / C) / (A / C) and its C / A is 1 / (A / C)
+        g1 = np.concatenate((b[j:] / a[j:], b[:j][::-1] / a[:j][::-1]))
+        g2 = np.concatenate((1.0 / a[j:], c[:j][::-1] / a[:j][::-1]))
         return self.norm_a * g1 - self.norm_b, self.norm_a * g2 - self.norm_c
 
     def loglik(self, c, s):
@@ -241,18 +255,21 @@ class _LikelihoodContext:
         of points in C order.  Paired arrays are fans of one point; the
         surface passes cos(phi) of shape (phi, 1), one fan per phi column.
 
-        A kept hit's term is log A + log(1 + c B/A + s C/A).  Its factor lies
-        in [_FLAG_RATIO, 2], so halving passes multiply the factors into
-        products of at most _GROUP, which stay far from underflow and
-        overflow, and each product takes one log.  A flagged hit's term is
-        log(A + B c + C s) as it stands, since near a zero of the density
-        1 + c B/A cancels to the rounding of B/A.  The base c B/A + 1, or
-        A + B c, is formed once per fan; each point then costs s C/A, or
-        s C, into one buffer and one add of its base, so a cell rounds as
-        (c B/A + 1) + s C/A whatever the fan.  Points go in blocks of
+        A q-form hit's term is log|C| + log|q + s|.  |q + s| is its density
+        over |C|, in [_FLAG_RATIO, 2 / _Q_RATIO], so _group_products
+        multiplies the factors into products of at most _GROUP, which stay
+        far from underflow and overflow, and each product's abs takes one
+        log; the sum of log|C| is added once.  A raw hit's term is
+        log(A + B c + C s) as it stands: near a zero of the density, or with
+        C near 0, q would not carry the density's digits.  The base
+        q = c B/C + A/C, or A + B c, is formed once per fan; each point then
+        costs one add, q + s, or s C and one add of the base, so a cell
+        rounds the same whatever the fan.  Points go in blocks of
         _CELL_BLOCK hits-by-points elements, whole fans to a block when they
-        fit, through one buffer that also holds the bases, so the work stays
-        in cache and nothing is allocated per block."""
+        fit, through one buffer of bases and one of values, so the work
+        stays in cache and nothing is allocated per block.  A row of values
+        holds the raw densities, then room for the products, then the
+        q-form factors from a 64-byte boundary."""
         shape, lead = np.broadcast(c, s).shape, np.shape(c)
         lead = (1,) * (len(shape) - len(lead)) + lead
         axes = len(lead)
@@ -266,46 +283,58 @@ class _LikelihoodContext:
         fan = s.size // c.size if s.size else 1     # points per entry of c
         c = c[:s.size // fan]                       # no fans without points
         out = np.empty(s.size)
-        n, j = self.n, self.flag_at.size
+        n, j = self.n, self.raw_at.size
+        # a row: j raw densities, the products, then the factors from `start`
+        products = -(-(n - j) // _GROUP)
+        start = -(-(j + products) // 8) * 8
         rows = max(1, min(s.size, _CELL_BLOCK // max(n, 1)))
         fans = max(1, rows // fan)      # whole fans per block, or one fan over blocks
         block = min(rows, fans * fan)
-        buffer = _aligned_rows(fans + block, n)
-        base, v = buffer[:fans], buffer[fans:]
+        # the q-form parts of the bases and of the factors start on 64-byte
+        # boundaries.  Two buffers, not one of twice the size: at n = 1e6 the
+        # one would take fresh pages, 16 MB more peak memory
+        base = _aligned_rows(fans, -j % 8 + n)[:, -j % 8:]
+        v = _aligned_rows(block, start + n - j)
         # a zero density logs to -inf and a negative one to nan
         with np.errstate(divide="ignore", invalid="ignore"):
             for i in range(0, c.size, fans):
                 m = min(fans, c.size - i)
                 np.multiply(c[i:i + m, None], self.hit_b, out=base[:m])
-                base[:m, :j] += self.hit_a[:j]
-                base[:m, j:] += 1.0
+                base[:m] += self.hit_a
                 for p in range(i * fan, (i + m) * fan, block):
                     k = min(block, (i + m) * fan - p)
                     vk = v[:k]
-                    fanned = vk.reshape(m, k // m, n)
-                    np.multiply(s[p:p + k].reshape(m, k // m, 1), self.hit_c, out=fanned)
-                    fanned += base[:m, None]
-                    # the products of the kept factors follow the flagged densities
-                    size = j + _group_products(vk[:, j:])
+                    fs = s[p:p + k].reshape(m, k // m, 1)
+                    if j:
+                        raw = vk[:, :j].reshape(m, k // m, j)
+                        np.multiply(fs, self.hit_c[:j], out=raw)
+                        raw += base[:m, None, :j]
+                    np.add(base[:m, None, j:], fs, out=vk[:, start:].reshape(m, k // m, n - j))
+                    size = j + _group_products(vk[:, start:], vk[:, j:start])
+                    np.abs(vk[:, j:size], out=vk[:, j:size])
                     np.log(vk[:, :size], out=vk[:, :size])
                     np.sum(vk[:, :size], axis=1, out=out[p:p + k])
         out -= n * np.ravel(norm)
-        out += self.hit_a[j:].sum()
+        out += self.hit_c[j:].sum()
         out[np.isnan(out)] = -np.inf
         return float(out[0]) if shape == () else out.reshape(shape)
 
 
-def _group_products(factors):
-    """Multiply the factors along the last axis, in place, into products of
-    at most _GROUP of them, and return how many leading entries hold the
-    products.  Each halving pass multiplies the back half onto the front."""
+def _group_products(factors, out):
+    """Products of at most _GROUP of the K factors along the last axis, in
+    out[..., :count], and count.  With G = K // _GROUP, product g < G is
+    that of factors g, g + G, ..., g + (_GROUP - 1) G, in that order, from
+    one reduce over the strided (_GROUP, G) view; if K % _GROUP is not 0, a
+    last product is that of the K % _GROUP trailing factors in order."""
     size = factors.shape[-1]
-    groups = -(-size // _GROUP)
-    while size > groups:
-        half = -(-size // 2)
-        factors[..., :size - half] *= factors[..., half:size]
-        size = half
-    return size
+    groups = size // _GROUP
+    lead = factors.shape[:-1]
+    np.multiply.reduce(factors[..., :groups * _GROUP].reshape(*lead, _GROUP, groups),
+                       axis=-2, out=out[..., :groups])
+    if size > groups * _GROUP:
+        np.multiply.reduce(factors[..., groups * _GROUP:], axis=-1, out=out[..., groups])
+        groups += 1
+    return groups
 
 
 def _aligned_rows(rows, n):
@@ -352,8 +381,8 @@ def log_likelihood(hits, geometry=None, theta=None, phi=None, window=None,
     point = disk_point(theta, phi)
     value = ctx.loglik(*point)
     if value == -math.inf:
-        # only a flagged hit's density can reach zero
-        j = ctx.flag_at.size
+        # only a flagged hit's density can reach zero, and flagged hits are raw
+        j = ctx.raw_at.size
         zeros = np.count_nonzero(
             combine_components((ctx.hit_a[:j], ctx.hit_b[:j], ctx.hit_c[:j]), *point) <= 0.0)
         warnings.warn(
@@ -429,12 +458,12 @@ def _circle_anchor(ctx, g1, g2):
 
     Each call reuses two n-buffers.  v = (1 + tc g1) + ts g2 rounds as the
     plain expression would; w = 1 / v gives the gradient's dot products,
-    and F takes one log per product of _GROUP kept factors, as the surface
-    kernel does, and one log per flagged factor."""
+    and F takes one log per product of _GROUP q-form factors, as the surface
+    kernel does, and one log per raw factor."""
     na, nb, nc = ctx.norm_a, ctx.norm_b, ctx.norm_c
-    kept = g1.size - ctx.flag_at.size
+    grouped = g1.size - ctx.raw_at.size
     v, w = np.empty(g1.size), np.empty(g1.size)
-    flagged = v[kept:]
+    raw = v[grouped:]
 
     def anchor(alpha):
         c, s = math.cos(alpha), math.sin(alpha)
@@ -445,13 +474,12 @@ def _circle_anchor(ctx, g1, g2):
         np.add(v, w, out=v)
         # a kept factor is at least t N_A _FLAG_RATIO; a flagged hit's
         # definite density can vanish
-        if flagged.size and not flagged.min() > 0.0:
+        if raw.size and not raw.min() > 0.0:
             return alpha, -math.inf, None
         np.divide(1.0, v, out=w)
         k1, k2 = float(g1 @ w), float(g2 @ w)
-        size = _group_products(v[:kept])
-        value = float(np.log(v[:size], out=v[:size]).sum()
-                      + np.log(flagged, out=flagged).sum())
+        size = _group_products(v[:grouped], w)
+        value = float(np.log(w[:size], out=w[:size]).sum() + np.log(raw, out=raw).sum())
         shift = value - t * (k1 * c + k2 * s)
         return alpha, value, (shift * na, shift * nb + k1, shift * nc + k2)
 
@@ -474,15 +502,16 @@ def _fit_definite(ctx, g1, g2):
 
     An anchor's factors are 1 + y . g_i = t N_A (A_i + B_i c + C_i s) / A_i
     with t = 1 / N . w.  A kept hit's lies in [t N_A _FLAG_RATIO, 2 t N_A],
-    and t N_A >= 1/2 since N . w <= 2 N_A, so a kept factor is positive and
-    only the flagged ones need a sign check.  A product of _GROUP kept
-    factors lies in [(t N_A _FLAG_RATIO)^32, (2 t N_A)^32], at least 2e-170:
-    it cannot underflow, and it could overflow only past t N_A = 2^31,
-    where the window holds under 2^-31 of N_A at that angle.  A definite
-    density vanishes only at isolated points, so such a window lies within
-    about 1e-5 fringe spacings of one, where no hit is kept (on the default
-    geometry none is within 3e-3 spacings of x = 0); on the default window
-    t N_A stays within 1e-6 of 1.
+    and t N_A >= 1/2 since N . w <= 2 N_A, so a kept factor is positive.
+    The q-form hits, all kept, go into products; the raw hits, the flagged
+    ones among them, take the sign check and one log each.  A product of
+    _GROUP kept factors lies in [(t N_A _FLAG_RATIO)^32, (2 t N_A)^32], at
+    least 2e-170: it cannot underflow, and it could overflow only past
+    t N_A = 2^31, where the window holds under 2^-31 of N_A at that angle.
+    A definite density vanishes only at isolated points, so such a window
+    lies within about 1e-5 fringe spacings of one, where no hit is kept (on
+    the default geometry none is within 3e-3 spacings of x = 0); on the
+    default window t N_A stays within 1e-6 of 1.
     """
     na, nb, nc = ctx.norm_a, ctx.norm_b, ctx.norm_c
     anchor = _circle_anchor(ctx, g1, g2)

@@ -318,17 +318,26 @@ def _read_rows(path, first_line, offset, n_fields):
     text and its "\\r\\n" copy a block of lines at a time.  Everything
     else (blank lines, lone carriage returns, a malformed row) is read
     again one line at a time, as text mode splits lines and ``float`` reads
-    fields, so that an error names its line.
+    fields, so that an error names its line.  Both fill one matrix with a
+    row for each line the block can hold.
     """
     with open(path, "rb") as fh:
         fh.seek(offset)
-        # a row per newline, and one more for a last line without one, so
-        # that the rows go straight into one matrix
-        size = 1
+        # a row per line as text mode splits them: per newline and per
+        # carriage return that no newline follows, and one more for a last
+        # line without either.  A carriage return that ends a read counts,
+        # and a newline that begins the next read takes it back.
+        size, after_cr = 1, False
         text = bytearray(_READ_BYTES)
         read = np.frombuffer(text, np.uint8)
         while got := fh.readinto(text):
-            size += np.count_nonzero(read[:got] == ord("\n"))
+            chars = read[:got]
+            size += int(np.count_nonzero(chars == ord("\n")))
+            if text.find(b"\r", 0, got) >= 0:
+                cr = chars == ord("\r")
+                size += int(np.count_nonzero(cr[:-1] > (chars[1:] == ord("\n")))) + int(cr[-1])
+            size -= after_cr and text[0] == ord("\n")
+            after_cr = text[got - 1] == ord("\r")
         fh.seek(offset)
         data = np.empty((size, n_fields))
         rows = 0
@@ -340,7 +349,7 @@ def _read_rows(path, first_line, offset, n_fields):
             return data[:rows]
         except ValueError:
             pass
-    rows = []
+    rows = 0
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n").rstrip("\r")
@@ -354,10 +363,11 @@ def _read_rows(path, first_line, offset, n_fields):
                     f"{path}:{line_no}: expected {n_fields} fields, got {len(parts)}"
                 )
             try:
-                rows.append([float(p) for p in parts])
+                data[rows] = [float(p) for p in parts]
             except ValueError as exc:
                 raise DomainError(f"{path}:{line_no}: {exc}") from None
-    return np.array(rows, dtype=float).reshape(-1, n_fields)
+            rows += 1
+    return data[:rows]
 
 
 def write_hits_csv(path, hits: HitSet):

@@ -706,6 +706,112 @@ def test_loglik_kernel_edge_layouts(kept, flagged):
         assert all(np.array_equal(x, y) for x, y in zip(sub.slopes(), fresh.slopes()))
 
 
+def _class_layout(seed):
+    """Components of hits of every kernel class, shuffled: raw kept hits
+    with C = 0 and with |C| one ulp below 2^-30 A; q-form hits with |C| at
+    and one ulp above it, whose largest factor |q + s| is near 2^31, hits
+    whose smallest factor is 1e-5 at s = +-1, and hits of either sign of C
+    in every group; and flagged hits.  Returns a, b, c and the kinds (0 raw
+    kept, 1 q-form, 2 flagged)."""
+    rng = np.random.default_rng(seed)
+    parts = []
+
+    def add(kind, a, b, c):
+        parts.append((np.full(a.size, kind), a, b, c))
+
+    a = 1e5 * rng.uniform(0.5, 2.0, 40)
+    add(0, a[:10], a[:10] * rng.uniform(-0.9, 0.9, 10), np.zeros(10))
+    tiny = inference._Q_RATIO * a[10:]
+    sign = np.where(np.arange(30) % 2, 1.0, -1.0)
+    big = sign * (1.0 - 2.0 * _FLAG_RATIO) * a[10:]
+    add(0, a[10:20], big[:10], sign[:10] * np.nextafter(tiny[:10], 0.0))
+    add(1, a[20:30], big[10:20], sign[10:20] * tiny[10:20])
+    add(1, a[30:40], big[20:30], sign[20:30] * np.nextafter(tiny[20:30], np.inf))
+    a = 2.0 ** rng.integers(10, 20, 20)
+    add(1, a, np.zeros(20), np.where(np.arange(20) % 2, 1.0, -1.0) * (1.0 - _FLAG_RATIO) * a)
+    a = 1e5 * rng.uniform(0.5, 2.0, 200)
+    ratio, angle = rng.uniform(0.0, 0.9, 200), rng.uniform(-np.pi, np.pi, 200)
+    add(1, a, a * ratio * np.cos(angle), a * ratio * np.sin(angle))
+    a = 1e5 * rng.uniform(0.5, 2.0, 30)
+    ratio, angle = rng.uniform(1.0 - 1e-5, 1.0 - 5e-6, 30), rng.uniform(-np.pi, np.pi, 30)
+    add(2, a, a * ratio * np.cos(angle), a * ratio * np.sin(angle))
+    kind, a, b, c = (np.concatenate(x) for x in zip(*parts))
+    order = rng.permutation(kind.size)
+    return a[order], b[order], c[order], kind[order]
+
+
+def test_loglik_kernel_hit_classes():
+    a, b, c, kind = _class_layout(12)
+    norms = (1.0, 0.2, 0.1)
+
+    def context(k):
+        return _LikelihoodContext.from_components(norms, a[:k].copy(), b[:k].copy(), c[:k].copy())
+
+    ctx = context(a.size)
+    assert ctx.flag_at.tolist() == np.flatnonzero(kind == 2).tolist()
+    assert ctx.raw_at.tolist() == np.flatnonzero(kind != 1).tolist()
+    # the q-form hits of either sign of C share groups
+    signs = np.sign(c[kind == 1])
+    groups = signs[:signs.size // 32 * 32].reshape(32, -1)
+    assert ((groups > 0).any(axis=0) & (groups < 0).any(axis=0)).all()
+    # c = +-1 and s = +-1 reach the factors' bounds
+    thetas, phis = (m.ravel() for m in np.meshgrid(
+        np.linspace(0.0, np.pi, 9), np.linspace(0.0, 2.0 * np.pi, 13), indexing="ij"))
+    q = kind == 1
+    with np.errstate(divide="ignore"):
+        factors = np.abs(a[q] + np.multiply.outer(np.cos(phis), b[q])
+                         + np.multiply.outer(np.sin(phis) * np.cos(thetas), c[q])) / np.abs(c[q])
+    assert 1e-5 <= factors.min() < 1.01e-5 and 2.0 ** 30.9 < factors.max() <= 2.0 ** 31
+    cells = ctx.loglik(*disk_point(thetas, phis))
+    expected = _fsum_loglik((a, b, c), norms, thetas, phis)
+    assert np.all(np.abs(cells - expected) <= 1e-12 * np.abs(expected))
+    fans = disk_point(thetas.reshape(9, 13).T, phis.reshape(9, 13).T[:, :1])
+    assert np.array_equal(ctx.loglik(*fans), cells.reshape(9, 13).T)
+    assert np.array_equal(cells, _per_cell(ctx, thetas, phis))
+    for k in (0, 1, 33, 100, 201, a.size - 1, a.size):
+        fresh, sub = context(k), ctx.prefix(k)
+        assert np.array_equal(sub.flag_at, fresh.flag_at)
+        assert np.array_equal(sub.raw_at, fresh.raw_at)
+        assert np.array_equal(sub.loglik(*disk_point(thetas, phis)),
+                              fresh.loglik(*disk_point(thetas, phis)))
+        assert all(np.array_equal(x, y) for x, y in zip(sub.slopes(), fresh.slopes()))
+
+
+@pytest.mark.parametrize("at_top", [False, True])
+def test_loglik_products_stay_finite_at_the_factor_bounds(at_top):
+    # every q-form factor near 2^31 at (c, s) = (1, 0), so that a product of
+    # 32 is near 2^992, or at 1e-5 at (0, -1), a product of 32 near 1e-160
+    n = 3000
+    a = 2.0 ** np.random.default_rng(3).integers(-20, 20, n)
+    if at_top:
+        b, c, point = (1.0 - 2.0 * _FLAG_RATIO) * a, inference._Q_RATIO * a, (1.0, 0.0)
+    else:
+        b, c, point = np.zeros(n), (1.0 - _FLAG_RATIO) * a, (0.0, -1.0)
+    ctx = _LikelihoodContext.from_components((1.0, 0.0, 0.0), a.copy(), b.copy(), c.copy())
+    assert ctx.raw_at.size == 0
+    value = ctx.loglik(*point)
+    expected = math.fsum(np.log(a + b * point[0] + c * point[1]).tolist())
+    assert abs(value - expected) <= 1e-12 * abs(expected)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("size", [0, 1, 31, 32, 33, 1000])
+def test_group_products_take_their_documented_members(rows, size):
+    factors = np.random.default_rng(size).uniform(0.5, 2.0, (3, size))
+    groups = size // inference._GROUP
+    members = [list(range(g, groups * inference._GROUP, groups)) for g in range(groups)]
+    if size % inference._GROUP:
+        members.append(list(range(groups * inference._GROUP, size)))
+    out = np.full((rows, len(members) + 2), np.nan)
+    work = factors[:rows].copy()
+    assert inference._group_products(work, out) == len(members)
+    assert np.array_equal(work, factors[:rows])
+    for r in range(rows):
+        expected = [math.prod(factors[r, m].tolist()) for m in members]
+        assert out[r, :len(members)].tolist() == expected
+    assert np.isnan(out[:, len(members):]).all()
+
+
 def test_loglik_cells_on_empty_context(jonsson):
     hits = make_hits(jonsson, 1.0, 1.0, 10, 3)
     ctx = _LikelihoodContext(hits.positions, jonsson, DEFAULT_WINDOW).prefix(0)

@@ -1,6 +1,7 @@
 """File-format tests: provenance round-trips, parse errors, graymaps."""
 
 import codecs
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -669,3 +670,22 @@ def test_read_csv_skips_a_byte_order_mark(tmp_path, small_hits):
     write_hits_csv(path, small_hits)
     path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
     _assert_bits_equal(read_hits_csv(path).positions, small_hits.positions)
+
+
+def test_line_reader_fills_one_matrix(tmp_path, jonsson):
+    # a blank line sends the whole data block to the line reader, whose
+    # peak stays a small multiple of the matrix it returns
+    hits = sample_hits(jonsson, FluxState(0.4, 1.2), SampleConfig(n_hits=200_000, seed=3))
+    path = tmp_path / "hits.csv"
+    write_hits_csv(path, hits)
+    text = path.read_bytes()
+    middle = text.index(b"\n", len(text) // 2) + 1
+    path.write_bytes(text[:middle] + b"\n" + text[middle:])
+    tracemalloc.start()
+    try:
+        back = read_hits_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_bits_equal(back.positions, hits.positions)
+    assert peak <= 3 * 200_000 * 2 * 8
