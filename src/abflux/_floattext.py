@@ -505,8 +505,8 @@ def _point_digits(chars, begin, end):
 
 def text_fields(chars):
     """The start and end of each field of the text in ``chars`` (the layout
-    of :func:`padded`), ended by a comma or a newline."""
-    ends = np.flatnonzero((chars == ord(",")) | (chars == ord("\n")))
+    of :func:`padded`), ended by a comma, a newline or a carriage return."""
+    ends = np.flatnonzero((chars == ord(",")) | (chars == ord("\n")) | (chars == ord("\r")))
     starts = np.empty_like(ends)
     starts[:1] = PAD
     starts[1:] = ends[:-1] + 1
@@ -519,8 +519,9 @@ def float_rows(chars, n_fields):
     newline, as a (lines, n_fields) float array, each field as ``float``
     reads it.
 
-    Raises ValueError where a line holds another number of fields or a
-    field is not a number.
+    Raises ValueError where a line holds another number of fields, a field
+    is not a number, or the text holds a carriage return, which text mode
+    reads as a line end.
     """
     starts, ends = text_fields(chars)
     rows = ends.size // n_fields

@@ -29,16 +29,11 @@ keyed by the column's bytes, so a sweep's files and a figure's panels on
 one screen grid format it once.
 
 The reader takes the comment and header lines as text (a leading UTF-8
-byte-order mark is skipped), then reads the data block on one of two
-paths.  The vector path reads it as bytes, about _READ_BYTES of whole
-lines at a time: numpy finds each block's commas and newlines and reads
-every field back as the double ``float`` gives, bit for bit
-(:func:`abflux._floattext.float_rows`); a field the vectorised reader
-cannot certify, or whose text is not in the forms it knows, takes ``float``
-itself.  It takes the writer's own text and its copy with "\\r\\n" line
-ends.  Any other data block (blank lines, lone "\\r" line ends, a
-malformed row) is read again line by line, as text mode splits lines and
-``float`` reads fields, so that an error names its line.
+byte-order mark is skipped), then the data block as bytes, _READ_BYTES at
+a time, each field read back as the double ``float`` gives, bit for bit
+(:func:`abflux._floattext.float_rows`).  A block it refuses is cleaned as
+text mode splits lines (a carriage return ends a line, a blank line is
+skipped) and parsed again; only a malformed line is read line by line.
 """
 
 from __future__ import annotations
@@ -283,12 +278,10 @@ def read_csv(path):
 
 def _line_blocks(fh):
     """The rest of the binary file ``fh`` in blocks of whole lines, about
-    _READ_BYTES at a time, each a character array in the layout of
-    :func:`abflux._floattext.padded`.
-
-    A block's "\\r\\n" line ends become newlines.  A block that holds any
-    other carriage return raises ValueError: text mode ends a line there.
-    """
+    _READ_BYTES at a time, in the layout of :func:`abflux._floattext.padded`
+    and with "\\r\\n" made "\\n".  A block ends at its last newline, or at a
+    later carriage return that is not the last byte read (a newline may
+    follow it in the next read)."""
     rest = b""
     while True:
         text = bytearray(PAD + len(rest) + _READ_BYTES)
@@ -299,28 +292,50 @@ def _line_blocks(fh):
                 return
             text[size] = ord("\n")     # the last line, which lacks its newline
             size += 1
-        cut = text.rfind(b"\n", PAD, size) + 1
+        cut = max(text.rfind(b"\n", PAD, size), text.rfind(b"\r", PAD, size - 1)) + 1
         rest = bytes(text[max(cut, PAD):size])
         if text.find(b"\r", PAD, cut) >= 0:
-            text = text[PAD:cut].replace(b"\r\n", b"\n")
-            if b"\r" in text:
-                raise ValueError("a line ends in a lone carriage return")
-            yield padded(text)
+            yield padded(text[PAD:cut].replace(b"\r\n", b"\n"))
         elif cut:
             yield np.frombuffer(text, np.uint8, cut)
 
 
-def _read_rows(path, first_line, offset, n_fields):
-    """The data block of :func:`read_csv` as a float matrix.
+def _cleaned(chars):
+    """The block ``chars`` with its lines as text mode splits them: each
+    carriage return a line end, and blank lines dropped."""
+    text = np.where(chars == ord("\r"), np.uint8(ord("\n")), chars)
+    blank = text == ord("\n")
+    blank[PAD + 1:] &= blank[PAD:-1]    # a line end first or after another
+    return text[~blank]
 
-    The block runs from byte ``offset``, line ``first_line``, to the end of
-    the file.  :func:`abflux._floattext.float_rows` parses the writer's own
-    text and its "\\r\\n" copy a block of lines at a time.  Everything
-    else (blank lines, lone carriage returns, a malformed row) is read
-    again one line at a time, as text mode splits lines and ``float`` reads
-    fields, so that an error names its line.  Both fill one matrix with a
-    row for each line the block can hold.
-    """
+
+def _name_error(path, first_line, n_fields):
+    """Raise DomainError naming the first line from ``first_line`` on that
+    text mode and ``float`` do not read as ``n_fields`` numbers."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if line_no < first_line or not line:
+                continue
+            if line.startswith("#"):
+                raise DomainError(f"{path}:{line_no}: comment after the header line")
+            parts = line.split(",")
+            if len(parts) != n_fields:
+                raise DomainError(
+                    f"{path}:{line_no}: expected {n_fields} fields, got {len(parts)}"
+                )
+            try:
+                list(map(float, parts))
+            except ValueError as exc:
+                raise DomainError(f"{path}:{line_no}: {exc}") from None
+
+
+def _read_rows(path, first_line, offset, n_fields):
+    """The data block of :func:`read_csv` (from byte ``offset``, line
+    ``first_line``, to the end) as one float matrix, a row for each line it
+    can hold, parsed a block of lines at a time by float_rows or, where that
+    refuses, by float_rows of the block :func:`_cleaned`.  A block refused
+    again is malformed: :func:`_name_error` names its line."""
     with open(path, "rb") as fh:
         fh.seek(offset)
         # a row per line as text mode splits them: per newline and per
@@ -341,32 +356,17 @@ def _read_rows(path, first_line, offset, n_fields):
         fh.seek(offset)
         data = np.empty((size, n_fields))
         rows = 0
-        try:
-            for chars in _line_blocks(fh):
-                block = float_rows(chars, n_fields)
-                data[rows:rows + len(block)] = block
-                rows += len(block)
-            return data[:rows]
-        except ValueError:
-            pass
-    rows = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if line_no < first_line or not line:
-                continue
-            if line.startswith("#"):
-                raise DomainError(f"{path}:{line_no}: comment after the header line")
-            parts = line.split(",")
-            if len(parts) != n_fields:
-                raise DomainError(
-                    f"{path}:{line_no}: expected {n_fields} fields, got {len(parts)}"
-                )
+        for chars in _line_blocks(fh):
             try:
-                data[rows] = [float(p) for p in parts]
-            except ValueError as exc:
-                raise DomainError(f"{path}:{line_no}: {exc}") from None
-            rows += 1
+                block = float_rows(chars, n_fields)
+            except ValueError:
+                try:
+                    block = float_rows(_cleaned(chars), n_fields)
+                except ValueError as exc:
+                    _name_error(path, first_line, n_fields)
+                    raise DomainError(f"{path}: {exc}") from None
+            data[rows:rows + len(block)] = block
+            rows += len(block)
     return data[:rows]
 
 

@@ -613,6 +613,8 @@ def test_read_csv_edge_text(tmp_path, monkeypatch, text, rows, block):
     (b"x,y\n1,2\n   \n3,4\n", "table.csv:3: expected 2 fields, got 1"),
     (b"x\n1\n  \n", "table.csv:3: could not convert string to float: '  '"),
     (b"x,y\n1,\n", "table.csv:2: could not convert string to float: ''"),
+    (b"x,y\n1,\r2\n", "table.csv:2: could not convert string to float: ''"),
+    (b"x,y\n1,2\n# a=1\n", "table.csv:3: comment after the header line"),
     (b"x,y\n1,2\n\xff,3\n", "table.csv: not UTF-8 text"),
 ])
 def test_read_csv_errors_name_their_line(tmp_path, text, message):
@@ -634,8 +636,9 @@ def test_read_csv_error_in_a_later_block_names_its_line(tmp_path, small_hits, mo
         read_hits_csv(path)
 
 
-# copies of a hits file with other line ends: "\r\n" takes the vector path
-# in every block, the rest (blank lines, lone carriage returns) the line reader
+# copies of a hits file with other line ends: float_rows takes every "\r\n"
+# block as read, and refuses blocks with blank lines or lone carriage returns
+# until they are cleaned
 @pytest.mark.parametrize("newline, vector", [
     (b"\r\n", True), (b"\n\n", False), (b"\r\n\r\n", False), (b"\r", False),
 ])
@@ -673,14 +676,51 @@ def test_read_csv_skips_a_byte_order_mark(tmp_path, small_hits):
 
 
 def test_line_reader_fills_one_matrix(tmp_path, jonsson):
-    # a blank line sends the whole data block to the line reader, whose
-    # peak stays a small multiple of the matrix it returns
+    # a blank line sends its block to be cleaned and parsed again, and the
+    # reader's peak stays a small multiple of the matrix it returns
     hits = sample_hits(jonsson, FluxState(0.4, 1.2), SampleConfig(n_hits=200_000, seed=3))
     path = tmp_path / "hits.csv"
     write_hits_csv(path, hits)
     text = path.read_bytes()
     middle = text.index(b"\n", len(text) // 2) + 1
     path.write_bytes(text[:middle] + b"\n" + text[middle:])
+    tracemalloc.start()
+    try:
+        back = read_hits_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_bits_equal(back.positions, hits.positions)
+    assert peak <= 3 * 200_000 * 2 * 8
+
+
+@pytest.mark.parametrize("block", [None, 300])
+def test_line_end_copies_never_read_line_by_line(tmp_path, jonsson, monkeypatch, block):
+    hits = sample_hits(jonsson, FluxState(0.4, 1.2), SampleConfig(n_hits=3000, seed=11))
+    path = tmp_path / "hits.csv"
+    write_hits_csv(path, hits)
+    text = path.read_bytes()
+    middle = text.index(b"\n", len(text) // 2) + 1
+
+    def refuse(*args):
+        raise AssertionError("a well-formed data block was read line by line")
+
+    if block:
+        monkeypatch.setattr(abflux.io, "_READ_BYTES", block)
+    monkeypatch.setattr(abflux.io, "_name_error", refuse)
+    for copy in (text[:middle] + b"\n" + text[middle:], text.replace(b"\n", b"\n\n"),
+                 text.replace(b"\n", b"\r")):
+        path.write_bytes(copy)
+        _assert_bits_equal(read_hits_csv(path).positions, hits.positions)
+
+
+def test_lone_carriage_return_copy_reads_in_bounded_blocks(tmp_path, jonsson):
+    # text with no newline is cut at its carriage returns, so no block grows
+    # with the file and the peak stays a small multiple of the matrix
+    hits = sample_hits(jonsson, FluxState(0.4, 1.2), SampleConfig(n_hits=200_000, seed=3))
+    path = tmp_path / "hits.csv"
+    write_hits_csv(path, hits)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
     tracemalloc.start()
     try:
         back = read_hits_csv(path)

@@ -17,7 +17,8 @@ LARGE_N_HITS hits (six-digit indices, many blocks of the hits writer); ``pattern
 --heatmap``; a 3 x 3 ``sweep``; ``figure3`` and ``figure4 --heatmap``;
 ``infer`` on a 61 x 61 surface and ``discriminate`` on each N_HITS file,
 and ``discriminate`` on the LARGE_N_HITS file, which the hits reader reads in
-many blocks.
+many blocks, and on two copies of it that the reader must clean: one with a
+blank line in the middle, one with every newline a lone carriage return.
 """
 
 from __future__ import annotations
@@ -36,8 +37,19 @@ LARGE_N_HITS = "120000"
 SEED = "7"
 
 
+def _line_end_copy(source, target, middle, newline):
+    """A step that copies the file ``source`` to ``target`` with the bytes
+    ``middle`` after its middle line and each newline made ``newline``."""
+    def copy():
+        text = source.read_bytes()
+        cut = text.index(b"\n", len(text) // 2) + 1
+        target.write_bytes((text[:cut] + middle + text[cut:]).replace(b"\n", newline))
+    return copy
+
+
 def _script():
-    """The CLI argument lists, in the order they run.
+    """The CLI argument lists, and the steps that copy a file, in the order
+    they run.
 
     ``infer`` and ``discriminate`` record their input path in a comment, so
     every file is named relative to the directory the script runs in.
@@ -65,6 +77,10 @@ def _script():
                      "--out", str(hits.with_name("surface_" + hits.name))])
         runs.append(["discriminate", str(hits),
                      "--out", str(hits.with_name("discriminate_" + hits.name))])
+    for name, middle, newline in (("blank", b"\n", b"\n"), ("cr", b"", b"\r")):
+        copy = large.with_name(f"hits_large_{name}.csv")
+        runs.append(_line_end_copy(large, copy, middle, newline))
+        runs.append(["discriminate", str(copy), "--out", str(copy.with_name("discriminate_" + copy.name))])
     runs.append(["discriminate", str(large), "--out", str(large.with_name("discriminate_" + large.name))])
     return runs
 
@@ -81,6 +97,9 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         for args in _script():
+            if callable(args):
+                args()
+                continue
             with contextlib.redirect_stdout(io.StringIO()):
                 code = abflux_main(args)
             if code != 0:
