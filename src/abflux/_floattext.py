@@ -520,9 +520,11 @@ def float_rows(chars, n_fields):
     reads it.
 
     Raises ValueError where a line holds another number of fields, a field
-    is not a number, or the text holds a carriage return, which text mode
-    reads as a line end.
+    is not a number, the text holds a carriage return, which text mode
+    reads as a line end, or text follows the last newline.
     """
+    if chars.size > PAD and chars[-1] != ord("\n"):
+        raise ValueError("the text does not end in a newline")
     starts, ends = text_fields(chars)
     rows = ends.size // n_fields
     marks = np.full(n_fields, ord(","), np.uint8)

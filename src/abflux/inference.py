@@ -57,6 +57,7 @@ _FLAT_GAP_NATS = 10.0       # theta is unidentified when the best fit beats
                             # Flat data stays below ~4 nats, identified cases
                             # reach hundreds even at n = 1e3
 _CELL_BLOCK = 1 << 16       # hits-by-points elements per loglik block
+_PASS_BLOCKS = 4            # loglik's matrix d holds up to this many blocks' elements
 _FLAG_RATIO = 1e-5          # a hit whose density can fall below this share
                             # of A keeps its raw log-density term
 _GROUP = 32                 # hits whose factors share one log
@@ -266,10 +267,14 @@ class _LikelihoodContext:
         costs one add, q + s, or s C and one add of the base, so a cell
         rounds the same whatever the fan.  Points go in blocks of
         _CELL_BLOCK hits-by-points elements, whole fans to a block when they
-        fit, through one buffer of bases and one of values, so the work
-        stays in cache and nothing is allocated per block.  A row of values
-        holds the raw densities, then room for the products, then the
-        q-form factors from a 64-byte boundary."""
+        fit, and a block only adds q + s into a buffer of factors and writes
+        their group products into d, a matrix with one row per point: the
+        raw densities, the products, then the tail group's product.  A pass
+        fills d with a block's fans, or with up to _PASS_BLOCKS * _CELL_BLOCK
+        elements of one fan's blocks, and forms the raw densities and the
+        tail group, then one abs, log and row sum over all its rows.  A point
+        sums the same terms in the same order however it is batched, and
+        nothing is allocated per block."""
         shape, lead = np.broadcast(c, s).shape, np.shape(c)
         lead = (1,) * (len(shape) - len(lead)) + lead
         axes = len(lead)
@@ -284,36 +289,46 @@ class _LikelihoodContext:
         c = c[:s.size // fan]                       # no fans without points
         out = np.empty(s.size)
         n, j = self.n, self.raw_at.size
-        # a row: j raw densities, the products, then the factors from `start`
-        products = -(-(n - j) // _GROUP)
-        start = -(-(j + products) // 8) * 8
+        groups, tail = divmod(n - j, _GROUP)
+        strided, width = n - j - tail, j + groups + (tail > 0)   # factors, a row of d
         rows = max(1, min(s.size, _CELL_BLOCK // max(n, 1)))
         fans = max(1, rows // fan)      # whole fans per block, or one fan over blocks
         block = min(rows, fans * fan)
-        # the q-form parts of the bases and of the factors start on 64-byte
-        # boundaries.  Two buffers, not one of twice the size: at n = 1e6 the
-        # one would take fresh pages, 16 MB more peak memory
+        span = max(block, min(fans * fan, _PASS_BLOCKS * _CELL_BLOCK // max(width, 1)))
+        # the q-form parts of the bases, and the factor rows, a multiple of
+        # _GROUP long, start on 64-byte boundaries.  Two buffers, the bases
+        # and the factors with d: at n = 1e6 one would take fresh pages, and
+        # three let the heap be trimmed after each call
         base = _aligned_rows(fans, -j % 8 + n)[:, -j % 8:]
-        v = _aligned_rows(block, start + n - j)
+        flat = _aligned_rows(1, block * strided + span * width)[0]
+        v, d = flat[:block * strided].reshape(block, -1), flat[block * strided:].reshape(span, -1)
+        last = np.empty((span, tail))
         # a zero density logs to -inf and a negative one to nan
         with np.errstate(divide="ignore", invalid="ignore"):
             for i in range(0, c.size, fans):
                 m = min(fans, c.size - i)
                 np.multiply(c[i:i + m, None], self.hit_b, out=base[:m])
                 base[:m] += self.hit_a
-                for p in range(i * fan, (i + m) * fan, block):
-                    k = min(block, (i + m) * fan - p)
-                    vk = v[:k]
-                    fs = s[p:p + k].reshape(m, k // m, 1)
+                for p in range(i * fan, (i + m) * fan, span):
+                    r = min(span, (i + m) * fan - p)
+                    dr, fs = d[:r], s[p:p + r].reshape(m, r // m, 1)
                     if j:
-                        raw = vk[:, :j].reshape(m, k // m, j)
+                        raw = dr[:, :j].reshape(m, r // m, j)
                         np.multiply(fs, self.hit_c[:j], out=raw)
                         raw += base[:m, None, :j]
-                    np.add(base[:m, None, j:], fs, out=vk[:, start:].reshape(m, k // m, n - j))
-                    size = j + _group_products(vk[:, start:], vk[:, j:start])
-                    np.abs(vk[:, j:size], out=vk[:, j:size])
-                    np.log(vk[:, :size], out=vk[:, :size])
-                    np.sum(vk[:, :size], axis=1, out=out[p:p + k])
+                    if tail:
+                        np.add(base[:m, None, j + strided:], fs,
+                               out=last[:r].reshape(m, r // m, tail))
+                        np.multiply.reduce(last[:r], axis=1, out=dr[:, -1])
+                    for q in range(0, r, block):
+                        k = min(block, r - q)
+                        sk = s[p + q:p + q + k].reshape(m, k // m, 1)
+                        np.add(base[:m, None, j:j + strided], sk,
+                               out=v[:k].reshape(m, k // m, strided))
+                        _group_products(v[:k], dr[q:q + k, j:])
+                    np.abs(dr[:, j:], out=dr[:, j:])
+                    np.log(dr, out=dr)
+                    np.sum(dr, axis=1, out=out[p:p + r])
         out -= n * np.ravel(norm)
         out += self.hit_c[j:].sum()
         out[np.isnan(out)] = -np.inf

@@ -9,6 +9,7 @@ above the largest values seen over 10+ calibration seeds.
 
 import heapq
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -541,6 +542,53 @@ def test_loglik_fans_equal_paired_points(jonsson, n, thetas, phis):
         assert np.array_equal(np.isneginf(cells), np.broadcast_to(
             (phis == np.pi)[:, None] & (sub.n == n), cells.shape))
 
+
+
+@pytest.fixture(scope="module")
+def wide_context(jonsson):
+    # 2e5 hits, the last at x = 0, where every phi = pi density is zero: the
+    # rows of d for one 181-point fan hold more than _PASS_BLOCKS blocks'
+    # elements, so a fan runs over several passes of d
+    hits = make_hits(jonsson, np.pi / 2, np.pi / 2, 200_000, 23).positions
+    hits[-1] = 0.0
+    ctx = _LikelihoodContext(hits, jonsson, DEFAULT_WINDOW)
+    assert 181 * (ctx.n // inference._GROUP) > 2 * inference._PASS_BLOCKS * _CELL_BLOCK
+    return ctx
+
+
+def test_loglik_fans_over_several_passes_equal_one_point_calls(wide_context):
+    ctx, n = wide_context, wide_context.n
+    assert ctx.flag_at.size > 1 and ctx.flag_at[-1] == n - 1
+
+    def full_groups(sub):
+        return (sub.n - sub.raw_at.size) % inference._GROUP == 0
+
+    # the longest prefix whose q-form hits fill their groups when ctx's do not,
+    # or the other way round
+    k = n - 1
+    while full_groups(ctx.prefix(k)) == full_groups(ctx):
+        k -= 1
+    subs = (ctx, ctx.prefix(n - 1), ctx.prefix(k))
+    thetas = np.linspace(0.0, np.pi, 181)
+    for phi in (0.7, np.pi):
+        fan = disk_point(thetas, np.array([[phi]]))
+        for sub in subs:
+            cells = sub.loglik(*fan)
+            assert cells.shape == (1, 181)
+            assert np.array_equal(cells[0], [sub.loglik(*disk_point(t, phi)) for t in thetas])
+            assert np.isneginf(cells).all() == (phi == np.pi and sub.n == n)
+
+
+def test_loglik_fan_over_several_passes_stays_in_bounded_memory(wide_context):
+    fan = disk_point(np.linspace(0.0, np.pi, 181), np.array([[0.7]]))
+    wide_context.loglik(*fan)
+    tracemalloc.start()
+    try:
+        wide_context.loglik(*fan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * wide_context.n * 8
 
 def test_loglik_broadcasts_c_along_trailing_axes(jonsson):
     ctx = _LikelihoodContext(make_hits(jonsson, 1.0, 1.0, 200, 3).positions,

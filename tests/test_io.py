@@ -581,6 +581,16 @@ def test_hits_and_density_text_take_the_vector_path(tmp_path, jonsson):
     _assert_bits_equal(back, np.stack([grid.positions, grid.values], axis=1))
 
 
+@pytest.mark.parametrize("text, n_fields", [
+    (b"1\n2", 1), (b"1,2\n3", 2), (b"1,2\n3,4", 2), (b"1", 1), (b"1\r", 1), (b"1\n ", 1),
+])
+def test_float_rows_refuses_text_after_the_last_newline(text, n_fields):
+    with pytest.raises(ValueError, match="newline"):
+        float_rows(padded(text), n_fields)
+    head = text[:text.rfind(b"\n") + 1]
+    assert float_rows(padded(head), n_fields).shape == (head.count(b"\n"), n_fields)
+
+
 # read_csv's data block as text mode read it: line ends, blank lines,
 # spaces, and the text float() reads besides the writer's own
 @pytest.mark.parametrize("text, rows", [

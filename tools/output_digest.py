@@ -13,12 +13,16 @@ shows which outputs a change moved.
 
 The script covers every command that writes a file: ``simulate`` at
 theta = pi/2 and theta = 0, each at phi = 1.3 and phi = pi, and once with
-LARGE_N_HITS hits (six-digit indices, many blocks of the hits writer); ``pattern
---heatmap``; a 3 x 3 ``sweep``; ``figure3`` and ``figure4 --heatmap``;
-``infer`` on a 61 x 61 surface and ``discriminate`` on each N_HITS file,
-and ``discriminate`` on the LARGE_N_HITS file, which the hits reader reads in
-many blocks, and on two copies of it that the reader must clean: one with a
-blank line in the middle, one with every newline a lone carriage return.
+LARGE_N_HITS hits (six-digit indices, many blocks of the hits writer) and
+once with SMALL_N_HITS; ``pattern --heatmap``; a 3 x 3 ``sweep``;
+``figure3`` and ``figure4 --heatmap``; ``infer`` on a 61 x 61 surface and
+``discriminate`` on each N_HITS file; ``infer`` on a 61 x 61 surface on the
+SMALL_N_HITS file, where the likelihood kernel takes several fans of the
+surface to a block, and on the LARGE_N_HITS file, where one fan takes more
+than one pass of the kernel's matrix of logs; and ``discriminate`` on the
+LARGE_N_HITS file, which the hits reader reads in many blocks, and on two
+copies of it that the reader must clean: one with a blank line in the
+middle, one with every newline a lone carriage return.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from pathlib import Path
 
 N_HITS = "20000"   # more than one block of the hits writer
 LARGE_N_HITS = "120000"
+SMALL_N_HITS = "300"
 SEED = "7"
 
 
@@ -64,17 +69,20 @@ def _script():
             runs.append(["simulate", "--theta", repr(theta), "--phi", repr(phi),
                          "--n-hits", N_HITS, "--seed", SEED, "--out", str(hits)])
     large = out / "hits_large.csv"
-    runs.append(["simulate", "--theta", repr(math.pi / 2), "--phi", "1.3",
-                 "--n-hits", LARGE_N_HITS, "--seed", SEED, "--out", str(large)])
+    small = out / "hits_small.csv"
+    for hits, n_hits in ((large, LARGE_N_HITS), (small, SMALL_N_HITS)):
+        runs.append(["simulate", "--theta", repr(math.pi / 2), "--phi", "1.3",
+                     "--n-hits", n_hits, "--seed", SEED, "--out", str(hits)])
     runs.append(["pattern", "--theta", repr(math.pi / 2), "--phi", "1.3", "--heatmap",
                  "--out", str(out / "pattern.csv")])
     runs.append(["sweep", "--thetas", f"0,{math.pi / 2!r},{math.pi!r}",
                  "--phis", f"0.4,1.3,{math.pi!r}", "--out-dir", str(out)])
     for figure in ("figure3", "figure4"):
         runs.append([figure, "--heatmap", "--out-dir", str(out)])
-    for hits in hits_files:
+    for hits in hits_files + [small, large]:
         runs.append(["infer", str(hits), "--theta-points", "61", "--phi-points", "61",
                      "--out", str(hits.with_name("surface_" + hits.name))])
+    for hits in hits_files:
         runs.append(["discriminate", str(hits),
                      "--out", str(hits.with_name("discriminate_" + hits.name))])
     for name, middle, newline in (("blank", b"\n", b"\n"), ("cr", b"", b"\r")):
